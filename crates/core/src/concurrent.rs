@@ -8,23 +8,41 @@
 //! This module adds epoch-style snapshot isolation on top of the same scan
 //! machinery:
 //!
-//! * A **[`Generation`]** is an immutable snapshot of one dynamic state:
-//!   the shared base segment (an [`Arc`] — never copied), the id list and
-//!   catalog (shared the same way), plus a frozen copy of the delta segment
-//!   and both tombstone bitsets (`O(delta)`, bounded by the compaction
-//!   threshold). Each carries a monotonically increasing **epoch**.
+//! * A **[`Generation`]** is an immutable snapshot of one dynamic state,
+//!   carrying a monotonically increasing **epoch**. It *shares* everything
+//!   big with the writer through [`Arc`]s — the base segment (with the base
+//!   branch catalog), the base id list, the base tombstone words, and the
+//!   append-only delta log (`Arc<RwLock<_>>`, one per base epoch) — and
+//!   *owns* only its cut of that log: three lengths (graphs, overlay
+//!   branches, distinct sizes) plus a copy of the words that mutate in place
+//!   (`delta / 64` tombstone words and the bucket runs). Publishing
+//!   therefore costs the same whatever the catalog size and, up to those few
+//!   words, whatever the delta length.
+//! * **Why a prefix is a snapshot.** An insert only appends to the log; no
+//!   element already written is ever touched. A generation reads the log
+//!   through a [`DeltaPrefix`], which truncates every structure to the cut
+//!   (`aggregates[..n]`, postings cut at the first entry `≥ n`, overlay ids
+//!   past the cut flattened as unknown), so later appends are invisible and
+//!   a scan is bit-identical, stage counters included, to one over a frozen
+//!   copy. Compaction never empties a log: it installs a fresh one, and
+//!   pinned generations keep the old one alive.
 //! * A **[`SnapshotReader`]** publishes generations behind a pointer cell.
-//!   Readers *pin* the current generation — one [`Arc`] clone under a
-//!   briefly-held lock, no allocation — and every query then runs entirely
-//!   against that pinned, immutable state: a reader never blocks a writer,
-//!   a writer never tears a reader's view.
+//!   [`SnapshotReader::pin`] is an [`Arc`] clone under the cell's read lock;
+//!   [`SnapshotReader::publish`] builds the new generation *first* and holds
+//!   the cell's write lock for the pointer swap alone, so a pin never waits
+//!   for a capture. A query against a pinned generation then takes the
+//!   log's read guard twice, briefly — around the query flatten (only when
+//!   the query has a branch the base catalog lacks) and around the
+//!   delta-segment scan; the base scan holds no lock. An insert waits for
+//!   those guards (it needs the write guard for its one append); a reader
+//!   never waits for more than that append.
 //! * A **[`ConcurrentEngine`]** owns the writer side: `insert`/`remove`
 //!   mutate the single writer-locked [`DynamicDatabase`] and publish a new
-//!   generation per mutation; `compact` folds the delta into a fresh base
-//!   with a stop-the-world window of zero (in-flight readers finish on
-//!   their pinned pre-compaction generation, new pins see the compacted
-//!   one). An optional background worker compacts once the delta crosses a
-//!   threshold, off the writer's latency path.
+//!   generation per mutation, returning the epoch they published; `compact`
+//!   folds the delta into a fresh base without ever stopping a reader
+//!   (in-flight readers finish on their pinned pre-compaction generation,
+//!   new pins see the compacted one). An optional background worker compacts
+//!   once the delta crosses a threshold.
 //!
 //! The consistency guarantee is exactly the workspace's equivalence
 //! invariant, lifted to concurrency: **every query result is bit-identical
@@ -39,13 +57,13 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Mutex, RwLock};
 
-use gbd_graph::{BranchCatalog, Graph, LabelAlphabets};
+use gbd_graph::{Graph, LabelAlphabets};
 
 use crate::config::GbdaConfig;
 use crate::database::GraphDatabase;
 use crate::dynamic::{
-    fixed_extended_size_for, DeltaSegment, DynamicDatabase, DynamicOutcome, DynamicView, ScanState,
-    Tombstones,
+    fixed_extended_size_for, live_graphs_of, DeltaCut, DeltaPrefix, DynamicDatabase,
+    DynamicOutcome, DynamicView, LiveGraph, ScanState, Tombstones, ViewCatalog,
 };
 use crate::error::EngineResult;
 use crate::offline::OfflineIndex;
@@ -59,37 +77,37 @@ const V1_MEMO_CAPACITY: usize = 32;
 /// An immutable snapshot of one dynamic-layer state, published at a fixed
 /// **epoch**.
 ///
-/// The base segment, its id list and the branch catalog are shared with the
-/// writer via [`Arc`] (the writer replaces them wholesale on compaction and
-/// clones-on-grow the catalog, so sharing is safe); the delta segment and
-/// the tombstone bitsets are frozen copies taken at publication. A pinned
-/// generation therefore never changes — queries against it are oblivious
-/// to concurrent inserts, removes and compactions.
+/// Everything big is shared with the writer through an [`Arc`]: the base
+/// segment (and with it the base branch catalog), its id list, its tombstone
+/// words, and the append-only delta log. What makes the shared log a
+/// snapshot is this generation's *cut* of it — how many graphs, overlay
+/// branches and distinct sizes existed at publication, plus its own copy of
+/// the few words that mutate in place (delta tombstones, bucket runs).
+/// Appends land past the cut and compaction swaps in a fresh log, so a
+/// pinned generation never changes — queries against it are oblivious to
+/// concurrent inserts, removes and compactions.
 pub struct Generation {
     epoch: u64,
     base: Arc<GraphDatabase>,
     base_ids: Arc<Vec<u64>>,
-    base_tombstones: Tombstones,
-    delta: DeltaSegment,
-    delta_ids: Vec<u64>,
-    delta_tombstones: Tombstones,
-    catalog: Arc<BranchCatalog>,
+    base_tombstones: Arc<Tombstones>,
+    delta: DeltaCut,
     alphabets: LabelAlphabets,
     max_vertices_hint: usize,
 }
 
 impl Generation {
-    /// Captures the database's current state as a generation at `epoch`.
+    /// Captures the database's current state as a generation at `epoch`:
+    /// `Arc` bumps plus the cut's few words — independent of the catalog
+    /// size and, up to `delta / 64` tombstone words and the bucket runs, of
+    /// the delta length.
     fn capture(database: &DynamicDatabase, epoch: u64) -> Self {
         Generation {
             epoch,
             base: Arc::clone(database.base_arc()),
             base_ids: Arc::clone(database.base_ids_arc()),
-            base_tombstones: database.base_tombstones().clone(),
-            delta: database.delta().clone(),
-            delta_ids: database.delta_ids().to_vec(),
-            delta_tombstones: database.delta_tombstones().clone(),
-            catalog: Arc::clone(database.catalog_arc()),
+            base_tombstones: Arc::clone(database.base_tombstones_arc()),
+            delta: database.delta_cut().share(),
             alphabets: database.alphabets(),
             max_vertices_hint: database.max_vertices_hint(),
         }
@@ -120,14 +138,8 @@ impl Generation {
     /// order** (base by index, then delta by insertion order) — the order a
     /// fresh rebuild of this generation's live set preserves, which is what
     /// the consistency checks rebuild from.
-    pub fn live_graphs(&self) -> impl Iterator<Item = (u64, &Graph)> + '_ {
-        let base = (0..self.base.len())
-            .filter(|&i| !self.base_tombstones.get(i))
-            .map(|i| (self.base_ids[i], self.base.graph(i)));
-        let delta = (0..self.delta.len())
-            .filter(|&i| !self.delta_tombstones.get(i))
-            .map(|i| (self.delta_ids[i], self.delta.graph(i)));
-        base.chain(delta)
+    pub fn live_graphs(&self) -> impl Iterator<Item = (u64, LiveGraph<'_>)> + '_ {
+        live_graphs_of(self)
     }
 
     /// Live graph ids in canonical order.
@@ -149,20 +161,16 @@ impl DynamicView for Generation {
         &self.base_tombstones
     }
 
-    fn view_delta(&self) -> &DeltaSegment {
-        &self.delta
-    }
-
-    fn view_delta_ids(&self) -> &[u64] {
-        &self.delta_ids
+    fn view_delta(&self) -> DeltaPrefix<'_> {
+        self.delta.prefix()
     }
 
     fn view_delta_tombstones(&self) -> &Tombstones {
-        &self.delta_tombstones
+        self.delta.tombstones()
     }
 
-    fn view_catalog(&self) -> &BranchCatalog {
-        &self.catalog
+    fn view_catalog(&self) -> ViewCatalog<'_> {
+        self.delta.catalog_over(self.base.catalog())
     }
 
     fn view_max_vertices_hint(&self) -> usize {
@@ -174,12 +182,11 @@ impl DynamicView for Generation {
 /// [`Generation`]s plus the shared scan machinery that runs queries over
 /// whichever generation a reader pinned.
 ///
-/// Pinning ([`Self::pin`]) is one `Arc` clone under a read lock held for
-/// nanoseconds — readers never wait on a scan, a mutation or a compaction,
-/// and [`Self::publish`] (called by the writer) swaps the cell under the
-/// write lock without waiting for in-flight queries, which keep their
-/// pinned `Arc` until they finish. All shared scan state (posterior memo,
-/// decision tables, planner profile) is internally synchronized and safe
+/// Pinning ([`Self::pin`]) is one `Arc` clone under the cell's read lock;
+/// [`Self::publish`] (called by the writer) holds the write lock for a
+/// pointer swap only and never waits for in-flight queries, which keep
+/// their pinned `Arc` until they finish. All shared scan state (posterior
+/// memo, decision tables, planner profile) is internally synchronized and safe
 /// to share across generations: decision tables are keyed by the
 /// generation-dependent vertex cap, and the planner only reroutes cascade
 /// stages, which never changes results.
@@ -220,8 +227,9 @@ impl SnapshotReader {
         &self.index
     }
 
-    /// Pins the current generation: one `Arc` clone, after which the
-    /// returned snapshot is immune to concurrent mutation and compaction.
+    /// Pins the current generation: one `Arc` clone under the cell's read
+    /// lock, after which the returned snapshot is immune to concurrent
+    /// mutation and compaction.
     pub fn pin(&self) -> Arc<Generation> {
         Arc::clone(&self.cell.read())
     }
@@ -231,18 +239,22 @@ impl SnapshotReader {
         self.cell.read().epoch
     }
 
-    /// Publishes the database's current state as the next generation.
+    /// Publishes the database's current state as the next generation and
+    /// returns its epoch.
     ///
     /// Callers must hold the writer lock of the owning engine across the
     /// mutation *and* this publish, so epochs order identically to the
-    /// mutation history; the cell's own write lock only orders the pointer
-    /// swap against concurrent [`Self::pin`]s.
+    /// mutation history. That lock — not the cell's — is what makes reading
+    /// the epoch and swapping the pointer one step: the generation is built
+    /// before the cell's write lock is taken and the displaced one is dropped
+    /// after it is released, so a concurrent [`Self::pin`] waits for a
+    /// pointer swap, never for a capture or a deallocation.
     pub fn publish(&self, database: &DynamicDatabase) -> u64 {
-        let mut cell = self.cell.write();
-        let epoch = cell.epoch + 1;
-        *cell = Arc::new(Generation::capture(database, epoch));
-        let live = cell.len();
-        drop(cell);
+        let epoch = self.epoch() + 1;
+        let generation = Arc::new(Generation::capture(database, epoch));
+        let live = generation.len();
+        let displaced = std::mem::replace(&mut *self.cell.write(), generation);
+        drop(displaced);
         crate::obs::record_generation_publish(epoch, live);
         epoch
     }
@@ -461,32 +473,40 @@ impl ConcurrentEngine {
     /// Inserts a graph and publishes the new generation; returns the stable
     /// id. May signal the background compactor (never compacts inline).
     pub fn insert(&self, graph: Graph) -> u64 {
-        let (id, compact_due) = {
+        self.insert_published(graph).0
+    }
+
+    /// [`Self::insert`], returning `(id, epoch)`: the stable id and the
+    /// epoch of the generation this insert published — the first one that
+    /// contains the id. Reading [`SnapshotReader::epoch`] afterwards is not
+    /// the same thing: another writer may have published in between.
+    pub fn insert_published(&self, graph: Graph) -> (u64, u64) {
+        let (id, epoch, compact_due) = {
             let mut database = self.shared.writer.lock();
             let id = database.insert(graph);
-            self.shared.reader.publish(&database);
+            let epoch = self.shared.reader.publish(&database);
             let due = self
                 .shared
                 .compact_threshold
                 .is_some_and(|t| database.delta().len() >= t);
-            (id, due)
+            (id, epoch, due)
         };
         if compact_due {
             self.signal_compact();
         }
-        id
+        (id, epoch)
     }
 
-    /// Removes a graph by id and publishes the new generation.
+    /// Removes a graph by id and publishes the new generation; returns the
+    /// epoch of the first generation that lacks it.
     ///
     /// # Errors
     /// [`crate::EngineError::UnknownGraphId`] when the id never existed or
     /// was already removed; nothing is published.
-    pub fn remove(&self, id: u64) -> EngineResult<()> {
+    pub fn remove(&self, id: u64) -> EngineResult<u64> {
         let mut database = self.shared.writer.lock();
         database.remove(id)?;
-        self.shared.reader.publish(&database);
-        Ok(())
+        Ok(self.shared.reader.publish(&database))
     }
 
     /// Compacts synchronously on the calling thread and publishes the
@@ -625,6 +645,80 @@ mod tests {
         assert_eq!(new.len(), 21);
         assert!(!new.live_ids().contains(&3));
         assert_ne!(new.live_ids(), old_ids);
+    }
+
+    /// Isolation where the delta log is *shared*: the pinned generation's
+    /// log grows under it — new graphs, and a vocabulary that now contains
+    /// every branch of the query — and is then replaced by a compaction, yet
+    /// threshold and ranked scans of the pinned generation stay bit-identical
+    /// down to the stage counters.
+    #[test]
+    fn pinned_scans_survive_vocabulary_growth_bit_for_bit() {
+        fn timeless(mut stats: SearchStats) -> SearchStats {
+            stats.flatten_seconds = 0.0;
+            stats.scan_seconds = 0.0;
+            stats
+        }
+        let mut rng = StdRng::seed_from_u64(77);
+        let aliens = GeneratorConfig::new(12, 2.5)
+            .with_alphabets(LabelAlphabets::new(40, 9))
+            .generate_many(6, &mut rng)
+            .unwrap();
+        let query = &aliens[0];
+        for variant in [
+            GbdaVariant::Standard,
+            GbdaVariant::AverageExtendedSize { sample_graphs: 4 },
+            GbdaVariant::WeightedGbd { weight: 0.5 },
+        ] {
+            let (database, index, config) = setup();
+            // A fixed pipeline keeps the stage counters a function of the
+            // generation alone (the planner adapts to what it has observed).
+            let config = config.with_variant(variant).with_force_fixed_pipeline(true);
+            let engine = ConcurrentEngine::new(database, index, config);
+            // The pinned generation already has a delta and an overlay, so
+            // both are truncated, not merely empty.
+            engine.insert(aliens[1].clone());
+            engine.insert(graphs(31, 1, 11).remove(0));
+            let pinned = engine.pin();
+            let reader = engine.reader();
+            reader.search_pinned(&pinned, query); // warms the posterior memo
+            reader.search_top_k_pinned(&pinned, query, 5);
+            let scan = reader.search_pinned(&pinned, query);
+            let ranked = reader.search_top_k_pinned(&pinned, query, 5);
+            let known_before = pinned.view_catalog().flatten_graph(query);
+
+            let check = |context: &str| {
+                let again = reader.search_pinned(&pinned, query);
+                assert_eq!(again.ids, scan.ids, "{variant:?} {context}");
+                assert_eq!(again.matches, scan.matches, "{variant:?} {context}");
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&again.posteriors), bits(&scan.posteriors));
+                assert_eq!(timeless(again.stats), timeless(scan.stats), "{context}");
+                let again = reader.search_top_k_pinned(&pinned, query, 5);
+                assert_eq!(again.hits.len(), ranked.hits.len(), "{variant:?} {context}");
+                for (a, b) in again.hits.iter().zip(&ranked.hits) {
+                    assert_eq!((a.id, a.posterior.to_bits()), (b.id, b.posterior.to_bits()));
+                }
+                assert_eq!(timeless(again.stats), timeless(ranked.stats), "{context}");
+                assert_eq!(pinned.view_catalog().flatten_graph(query), known_before);
+            };
+
+            // Same log, grown: the query itself goes in, so every one of its
+            // branches now has an overlay id the pinned cut must not see.
+            let ids: Vec<u64> = aliens.iter().map(|a| engine.insert(a.clone())).collect();
+            engine.remove(3).unwrap();
+            engine.remove(pinned.live_ids()[pinned.len() - 1]).unwrap();
+            let grown = engine.pin();
+            assert!(grown.view_catalog().len() > pinned.view_catalog().len());
+            let flat = grown.view_catalog().flatten_graph(query);
+            assert_eq!(flat.known_len(), flat.len(), "the new cut knows the query");
+            assert!(known_before.known_len() < known_before.len());
+            check("after growth");
+
+            engine.compact();
+            check("after compaction");
+            assert!(engine.search(query).ids.contains(&ids[0]));
+        }
     }
 
     /// Reads through the concurrent engine are bit-identical to a fresh

@@ -29,6 +29,8 @@
 //!   the query's runs over these postings yields the *exact* multiset
 //!   intersection with every database graph without merging any runs.
 
+use std::sync::Arc;
+
 use gbd_graph::{
     Branch, BranchCatalog, BranchMultiset, BranchRun, DatasetStats, FlatBranchView, Graph,
     LabelAlphabets,
@@ -105,8 +107,10 @@ pub(crate) fn compress_bucket_runs(aggregates: &[GraphAggregate]) -> Vec<BucketR
 pub struct GraphDatabase {
     graphs: Vec<Graph>,
     branches: Vec<BranchMultiset>,
-    /// Interned branch vocabulary of the whole database.
-    catalog: BranchCatalog,
+    /// Interned branch vocabulary of the whole database. Sealed with the
+    /// database and behind an [`Arc`], so cloning a database (or wrapping it
+    /// in the dynamic layer) never copies the vocabulary.
+    catalog: Arc<BranchCatalog>,
     /// All flat runs, one contiguous allocation for cache locality.
     arena: Vec<BranchRun>,
     /// `spans[i]` is the arena range holding graph `i`'s runs.
@@ -213,7 +217,7 @@ impl GraphDatabase {
         GraphDatabase {
             graphs,
             branches,
-            catalog,
+            catalog: Arc::new(catalog),
             arena,
             spans,
             alphabets,
@@ -575,7 +579,7 @@ impl GraphDatabase {
         Ok(GraphDatabase {
             graphs,
             branches,
-            catalog,
+            catalog: Arc::new(catalog),
             arena,
             spans,
             alphabets,

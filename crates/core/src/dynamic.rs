@@ -14,8 +14,10 @@
 //!   index), so delta graphs go through the same filter cascade as base
 //!   graphs,
 //! * **tombstone bitsets** marking removed graphs in either segment,
-//! * a growing [`BranchCatalog`] whose ids extend the base catalog — base
-//!   ids are a strict prefix, so one query flattening serves both segments.
+//! * a **vocabulary overlay** inside the delta segment for branches first
+//!   seen by an insert: its ids extend the immutable base [`BranchCatalog`]
+//!   — base ids are a strict prefix, so one query flattening serves both
+//!   segments.
 //!
 //! [`DynamicDatabase::compact`] folds delta and tombstones into a fresh base
 //! segment; afterwards the database is structurally identical to
@@ -30,10 +32,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use gbd_graph::{
-    BranchCatalog, BranchMultiset, BranchRun, FlatBranchSet, FlatBranchView, Graph, LabelAlphabets,
+    Branch, BranchCatalog, BranchMultiset, BranchRun, FlatBranchSet, FlatBranchView, Graph,
+    LabelAlphabets, UNKNOWN_BRANCH_ID,
 };
 
 use crate::config::{GbdaConfig, GbdaVariant};
@@ -113,13 +116,24 @@ impl Tombstones {
     }
 }
 
-/// The append-only delta segment: inserted graphs with the same per-graph
-/// structures as the base [`GraphDatabase`] — flat interned runs in a
-/// contiguous arena, scan aggregates, and a small inverted index — so the
-/// filter cascade prunes delta graphs exactly like base graphs.
+/// The append-only delta log of one base epoch: inserted graphs with the
+/// same per-graph structures as the base [`GraphDatabase`] — flat interned
+/// runs in a contiguous arena, scan aggregates, and a small inverted index —
+/// so the filter cascade prunes delta graphs exactly like base graphs, plus
+/// the **vocabulary overlay**: branches first seen by an insert, whose ids
+/// continue from the base catalog's length in first-seen order.
+///
+/// The writer and every [`crate::concurrent::Generation`] published since
+/// the last compaction share one log behind an `Arc<RwLock<_>>`. Everything
+/// in it only grows at the tail, so what the first `n` graphs wrote never
+/// changes again and a [`DeltaPrefix`] is a snapshot without being a copy.
+/// The two structures that *do* mutate in place — tombstone bits and the
+/// open last bucket run — live in each view's [`DeltaCut`] instead.
 #[derive(Debug, Clone, Default)]
-pub struct DeltaSegment {
-    graphs: Vec<Graph>,
+pub(crate) struct DeltaSegment {
+    graphs: Vec<Arc<Graph>>,
+    /// Stable ids by delta index.
+    ids: Vec<u64>,
     arena: Vec<BranchRun>,
     spans: Vec<(u32, u32)>,
     /// One packed [`GraphAggregate`] per graph — the same cache-line-conscious
@@ -129,39 +143,32 @@ pub struct DeltaSegment {
     /// Distinct vertex counts in first-seen order; each aggregate's `bucket`
     /// indexes its vertex count here so per-size cutoff tables are shared.
     distinct_sizes: Vec<usize>,
-    /// Maximal constant-bucket index intervals over `aggregates`, maintained
-    /// incrementally on append for the kernel's interval stage-1 sweep.
-    bucket_runs: Vec<BucketRun>,
     /// Branch id → postings, sorted by delta-local graph index (appends
     /// arrive in insertion order, so sortedness is free).
     postings: HashMap<u32, Vec<Posting>>,
+    /// The vocabulary overlay: branch → id, for branches the base catalog
+    /// lacks. Ids are dense from the base catalog's length upward, so "the
+    /// overlay as of `k` branches" is exactly the ids below `base + k`.
+    vocab: HashMap<Branch, u32>,
 }
 
 impl DeltaSegment {
-    /// Number of graphs in the delta (tombstoned ones included).
-    pub fn len(&self) -> usize {
-        self.graphs.len()
+    /// The overlay id of a branch the base catalog (of `base_len` branches)
+    /// lacks, interning it on first sight.
+    fn intern(&mut self, branch: &Branch, base_len: usize) -> u32 {
+        if let Some(&id) = self.vocab.get(branch) {
+            return id;
+        }
+        let id =
+            u32::try_from(base_len + self.vocab.len()).expect("fewer than 2^32 distinct branches");
+        assert!(id != UNKNOWN_BRANCH_ID, "catalog exhausted the id space");
+        self.vocab.insert(branch.clone(), id);
+        id
     }
 
-    /// Returns `true` when nothing has been inserted since the last
-    /// compaction.
-    pub fn is_empty(&self) -> bool {
-        self.graphs.is_empty()
-    }
-
-    /// The `i`-th delta graph.
-    pub fn graph(&self, i: usize) -> &Graph {
-        &self.graphs[i]
-    }
-
-    /// Total `(id, count)` runs stored in the delta arena.
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Appends one graph whose runs are already flattened against the
-    /// owning database's catalog.
-    fn push(&mut self, graph: Graph, flat: &FlatBranchSet) {
+    /// Appends one graph whose runs are already flattened against the base
+    /// catalog plus the overlay; returns its size bucket.
+    fn push(&mut self, id: u64, graph: Graph, flat: &FlatBranchSet) -> u32 {
         let delta_index = self.graphs.len() as u32;
         let start = u32::try_from(self.arena.len()).expect("fewer than 2^32 delta runs");
         let runs = flat.runs();
@@ -175,57 +182,274 @@ impl DeltaSegment {
             .unwrap_or_else(|| {
                 self.distinct_sizes.push(size);
                 self.distinct_sizes.len() - 1
-            });
+            }) as u32;
         self.aggregates.push(GraphAggregate {
             size: size as u32,
-            bucket: bucket as u32,
+            bucket,
             runs: runs.len() as u32,
             max_run: runs.iter().map(|r| r.count).max().unwrap_or(0),
         });
-        match self.bucket_runs.last_mut() {
-            Some(run) if run.bucket == bucket as u32 => run.end = delta_index + 1,
-            _ => self.bucket_runs.push(BucketRun {
-                end: delta_index + 1,
-                bucket: bucket as u32,
-            }),
-        }
         for run in runs {
             self.postings.entry(run.id).or_default().push(Posting {
                 graph: delta_index,
                 count: run.count,
             });
         }
-        self.graphs.push(graph);
+        self.graphs.push(Arc::new(graph));
+        self.ids.push(id);
+        bucket
     }
 }
 
-impl SegmentIndex for DeltaSegment {
+/// One view's cut of the shared delta log: the log, how much of it the view
+/// sees, and the two small structures that mutate in place and therefore
+/// cannot live in the append-only log. The writer advances its cut on every
+/// insert; a published generation holds a [`Self::share`]d one, frozen.
+#[derive(Debug, Default)]
+pub(crate) struct DeltaCut {
+    log: Arc<RwLock<DeltaSegment>>,
+    /// Overlay branches visible: the ids below `base catalog len + vocab_len`.
+    vocab_len: usize,
+    /// Distinct vertex counts visible (a prefix of the first-seen table).
+    sizes_len: usize,
+    /// Maximal constant-bucket intervals over the visible aggregates,
+    /// maintained incrementally on append for the kernel's stage-1 sweep.
+    bucket_runs: Vec<BucketRun>,
+    /// One slot per visible graph — its length *is* the visible prefix.
+    tombstones: Tombstones,
+}
+
+impl DeltaCut {
+    /// The same cut over the **same** log — what publishing a generation
+    /// costs: an `Arc` bump, `delta / 64` tombstone words and the bucket
+    /// runs, independent of catalog size and of everything else in the log.
+    pub(crate) fn share(&self) -> DeltaCut {
+        DeltaCut {
+            log: Arc::clone(&self.log),
+            vocab_len: self.vocab_len,
+            sizes_len: self.sizes_len,
+            bucket_runs: self.bucket_runs.clone(),
+            tombstones: self.tombstones.clone(),
+        }
+    }
+
+    /// Appends `graph` under `id`: flattens it against `catalog` plus the
+    /// overlay (interning unseen branches) and advances the cut past it.
+    /// The write guard covers only the append itself.
+    fn append(&mut self, catalog: &BranchCatalog, id: u64, graph: Graph) {
+        let multiset = BranchMultiset::from_graph(&graph);
+        let mut log = self.log.write();
+        let flat = catalog
+            .flatten_lookup_with(&multiset, |branch| Some(log.intern(branch, catalog.len())));
+        let bucket = log.push(id, graph, &flat);
+        self.vocab_len = log.vocab.len();
+        self.sizes_len = log.distinct_sizes.len();
+        drop(log);
+        self.tombstones.push_alive();
+        let end = self.len() as u32;
+        match self.bucket_runs.last_mut() {
+            Some(run) if run.bucket == bucket => run.end = end,
+            _ => self.bucket_runs.push(BucketRun { end, bucket }),
+        }
+    }
+
+    /// Number of visible graphs (tombstoned ones included).
+    fn len(&self) -> usize {
+        self.tombstones.len()
+    }
+
+    /// The tombstone bitset of the visible prefix.
+    pub(crate) fn tombstones(&self) -> &Tombstones {
+        &self.tombstones
+    }
+
+    /// The visible prefix of the log, under its read guard.
+    pub(crate) fn prefix(&self) -> DeltaPrefix<'_> {
+        DeltaPrefix {
+            log: self.log.read(),
+            cut: self,
+        }
+    }
+
+    /// The vocabulary of this cut over the base `catalog`.
+    pub(crate) fn catalog_over<'a>(&'a self, catalog: &'a BranchCatalog) -> ViewCatalog<'a> {
+        ViewCatalog {
+            base: catalog,
+            log: &self.log,
+            vocab_len: self.vocab_len,
+        }
+    }
+}
+
+/// Cloning **forks** the log: the copy belongs to an independent writer.
+impl Clone for DeltaCut {
+    fn clone(&self) -> Self {
+        DeltaCut {
+            log: Arc::new(RwLock::new(self.log.read().clone())),
+            ..self.share()
+        }
+    }
+}
+
+/// The first `n` graphs of a shared delta log, held under the log's read
+/// guard: a [`SegmentIndex`] by truncation. Because the log is append-only,
+/// what a prefix shows is fixed at the moment its cut was taken — appends
+/// that land later (even while this guard is *not* held) are past the end
+/// of every slice it hands out — so a scan over it is bit-identical to a
+/// scan over a frozen copy.
+///
+/// Hold it only as long as the read takes: an insert waits for it.
+pub struct DeltaPrefix<'a> {
+    log: RwLockReadGuard<'a, DeltaSegment>,
+    cut: &'a DeltaCut,
+}
+
+impl DeltaPrefix<'_> {
+    /// Number of graphs in the prefix (tombstoned ones included).
+    pub fn len(&self) -> usize {
+        self.cut.len()
+    }
+
+    /// Returns `true` when the view has seen no insert since the last
+    /// compaction.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th delta graph.
+    pub fn graph(&self, i: usize) -> &Graph {
+        &self.log.graphs[..self.len()][i]
+    }
+
+    /// Stable ids of the prefix's graphs by delta index (tombstoned slots
+    /// included).
+    pub fn ids(&self) -> &[u64] {
+        &self.log.ids[..self.len()]
+    }
+}
+
+impl SegmentIndex for DeltaPrefix<'_> {
     fn aggregates(&self) -> &[GraphAggregate] {
-        &self.aggregates
+        &self.log.aggregates[..self.len()]
     }
 
     fn bucket_runs(&self) -> &[BucketRun] {
-        &self.bucket_runs
+        &self.cut.bucket_runs
     }
 
     fn distinct_sizes(&self) -> &[usize] {
-        &self.distinct_sizes
+        &self.log.distinct_sizes[..self.cut.sizes_len]
     }
 
     fn postings_of(&self, branch_id: u32) -> &[Posting] {
-        self.postings
+        let postings = self
+            .log
+            .postings
             .get(&branch_id)
             .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .unwrap_or(&[]);
+        let n = self.len() as u32;
+        &postings[..postings.partition_point(|p| p.graph < n)]
     }
 
     fn flat_view(&self, i: usize) -> FlatBranchView<'_> {
-        let (start, len) = self.spans[i];
+        let (start, len) = self.log.spans[..self.len()][i];
         FlatBranchView::new(
-            &self.arena[start as usize..(start + len) as usize],
-            self.aggregates[i].size as usize,
+            &self.log.arena[start as usize..(start + len) as usize],
+            self.log.aggregates[i].size as usize,
         )
     }
+}
+
+/// The branch vocabulary a view flattens queries against: the immutable
+/// base catalog plus the overlay branches the view's cut of the delta log
+/// can see. Base ids are a strict prefix of the id space, so one flattening
+/// serves both segments.
+///
+/// Holds no guard: the log is read-locked per call, and only when the query
+/// carries a branch the base catalog lacks and the overlay is not empty.
+pub struct ViewCatalog<'a> {
+    base: &'a BranchCatalog,
+    log: &'a RwLock<DeltaSegment>,
+    vocab_len: usize,
+}
+
+impl ViewCatalog<'_> {
+    /// Number of distinct branches with an id.
+    pub fn len(&self) -> usize {
+        self.base.len() + self.vocab_len
+    }
+
+    /// Returns `true` when no branch has an id.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`BranchCatalog::flatten_lookup`] over the base catalog and the
+    /// visible overlay: overlay branches interned *after* the cut was taken
+    /// are unknown to it, exactly as they were when it was taken.
+    pub fn flatten_lookup(&self, multiset: &BranchMultiset) -> FlatBranchSet {
+        let limit = self.len() as u32;
+        let mut log = None;
+        self.base.flatten_lookup_with(multiset, |branch| {
+            if self.vocab_len == 0 {
+                return None;
+            }
+            let log = log.get_or_insert_with(|| self.log.read());
+            log.vocab.get(branch).copied().filter(|&id| id < limit)
+        })
+    }
+
+    /// Flattens the branch multiset of `graph`.
+    pub fn flatten_graph(&self, graph: &Graph) -> FlatBranchSet {
+        self.flatten_lookup(&BranchMultiset::from_graph(graph))
+    }
+}
+
+/// A live graph handed out by `live_graphs`: borrowed from the base
+/// segment, or shared out of the delta log (whose storage sits behind a
+/// lock and cannot be borrowed for the caller's lifetime). Dereferences to
+/// the [`Graph`]; deliberately not `Clone`, so `.clone()` clones the graph.
+#[derive(Debug)]
+pub enum LiveGraph<'a> {
+    /// A base-segment graph.
+    Base(&'a Graph),
+    /// A delta-log graph.
+    Delta(Arc<Graph>),
+}
+
+impl std::ops::Deref for LiveGraph<'_> {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        match self {
+            LiveGraph::Base(graph) => graph,
+            LiveGraph::Delta(graph) => graph,
+        }
+    }
+}
+
+/// `(id, graph)` for every live graph of a view in **canonical order**: base
+/// graphs by base index, then delta graphs by insertion order. The delta
+/// part is collected up front so no guard outlives this call.
+pub(crate) fn live_graphs_of<V: DynamicView + ?Sized>(
+    view: &V,
+) -> impl Iterator<Item = (u64, LiveGraph<'_>)> + '_ {
+    let base = view.view_base();
+    let base_part = (0..base.len())
+        .filter(|&i| !view.view_base_tombstones().get(i))
+        .map(move |i| (view.view_base_ids()[i], LiveGraph::Base(base.graph(i))));
+    let delta = view.view_delta();
+    let delta_part: Vec<_> = (0..delta.len())
+        .filter(|&i| !view.view_delta_tombstones().get(i))
+        .map(|i| {
+            (
+                delta.ids()[i],
+                LiveGraph::Delta(Arc::clone(&delta.log.graphs[i])),
+            )
+        })
+        .collect();
+    base_part.chain(delta_part)
 }
 
 /// Where a live graph id currently resides.
@@ -243,24 +467,20 @@ enum Location {
 /// [`Self::compact`].
 #[derive(Debug, Clone)]
 pub struct DynamicDatabase {
-    /// The sealed base segment. Behind an [`Arc`] so publishing a
-    /// [`crate::concurrent::Generation`] shares it instead of copying it —
-    /// the base never mutates in place, it is only *replaced* by
-    /// [`Self::compact`].
+    /// The sealed base segment (and with it the base branch catalog). Behind
+    /// an [`Arc`] so publishing a [`crate::concurrent::Generation`] shares it
+    /// instead of copying it — the base never mutates in place, it is only
+    /// *replaced* by [`Self::compact`].
     base: Arc<GraphDatabase>,
-    /// The base catalog plus every branch first seen by an insert; base ids
-    /// are a strict prefix of this catalog's id space. Clone-on-grow: an
-    /// insert whose branches are all catalogued shares the [`Arc`]; only an
-    /// insert that interns a new branch clones a shared catalog first.
-    catalog: Arc<BranchCatalog>,
     alphabets: LabelAlphabets,
-    delta: DeltaSegment,
-    base_tombstones: Tombstones,
-    delta_tombstones: Tombstones,
+    /// The writer's cut of the delta log: always the whole log.
+    delta: DeltaCut,
+    /// Shared with published generations until the next removal of a base
+    /// graph, which clones the words first.
+    base_tombstones: Arc<Tombstones>,
     /// Stable ids of the base graphs by base index; replaced wholesale by
     /// [`Self::compact`], never edited, hence shareable like the base.
     base_ids: Arc<Vec<u64>>,
-    delta_ids: Vec<u64>,
     locations: HashMap<u64, Location>,
     next_id: u64,
     /// Upper bound on the live maximum vertex count (never shrinks on
@@ -283,16 +503,13 @@ impl DynamicDatabase {
             .map(|&id| (id, Location::Base(id as usize)))
             .collect();
         DynamicDatabase {
-            catalog: Arc::new(base.catalog().clone()),
             alphabets: base.alphabets(),
             max_vertices_hint: base.max_vertices(),
-            base_tombstones: Tombstones::new(n),
-            delta_tombstones: Tombstones::new(0),
+            base_tombstones: Arc::new(Tombstones::new(n)),
             base_ids: Arc::new(base_ids),
-            delta_ids: Vec::new(),
             locations,
             next_id: n as u64,
-            delta: DeltaSegment::default(),
+            delta: DeltaCut::default(),
             base: Arc::new(base),
             metrics_quiet: false,
         }
@@ -329,16 +546,13 @@ impl DynamicDatabase {
         }
         let n = base.len();
         Ok(DynamicDatabase {
-            catalog: Arc::new(base.catalog().clone()),
             alphabets: base.alphabets(),
             max_vertices_hint: base.max_vertices(),
-            base_tombstones: Tombstones::new(n),
-            delta_tombstones: Tombstones::new(0),
+            base_tombstones: Arc::new(Tombstones::new(n)),
             base_ids: Arc::new(ids),
-            delta_ids: Vec::new(),
             locations,
             next_id,
-            delta: DeltaSegment::default(),
+            delta: DeltaCut::default(),
             base: Arc::new(base),
             metrics_quiet: false,
         })
@@ -363,15 +577,10 @@ impl DynamicDatabase {
         &self.base_ids
     }
 
-    /// The append-only delta segment.
-    pub fn delta(&self) -> &DeltaSegment {
-        &self.delta
-    }
-
-    /// Stable ids of the delta-segment graphs by delta index (tombstoned
-    /// slots included).
-    pub fn delta_ids(&self) -> &[u64] {
-        &self.delta_ids
+    /// The delta segment: every graph inserted since the last compaction,
+    /// under the delta log's read guard.
+    pub fn delta(&self) -> DeltaPrefix<'_> {
+        self.delta.prefix()
     }
 
     /// The tombstone bitset of the base segment.
@@ -381,7 +590,7 @@ impl DynamicDatabase {
 
     /// The tombstone bitset of the delta segment.
     pub fn delta_tombstones(&self) -> &Tombstones {
-        &self.delta_tombstones
+        &self.delta.tombstones
     }
 
     /// The shared handle of the base segment (for generation capture).
@@ -394,15 +603,21 @@ impl DynamicDatabase {
         &self.base_ids
     }
 
-    /// The shared handle of the branch catalog (for generation capture).
-    pub(crate) fn catalog_arc(&self) -> &Arc<BranchCatalog> {
-        &self.catalog
+    /// The shared handle of the base tombstones (for generation capture).
+    pub(crate) fn base_tombstones_arc(&self) -> &Arc<Tombstones> {
+        &self.base_tombstones
     }
 
-    /// The combined branch catalog (base ids first, delta-discovered ids
-    /// after). Queries are flattened against this.
-    pub fn catalog(&self) -> &BranchCatalog {
-        &self.catalog
+    /// The writer's cut of the delta log (for generation capture).
+    pub(crate) fn delta_cut(&self) -> &DeltaCut {
+        &self.delta
+    }
+
+    /// The combined branch vocabulary (base catalog ids first, ids of
+    /// branches first seen by an insert after). Queries are flattened
+    /// against this.
+    pub fn catalog(&self) -> ViewCatalog<'_> {
+        self.delta.catalog_over(self.base.catalog())
     }
 
     /// Label alphabet sizes of the probabilistic model, fixed at
@@ -414,8 +629,7 @@ impl DynamicDatabase {
 
     /// Number of live graphs.
     pub fn len(&self) -> usize {
-        (self.base.len() - self.base_tombstones.set_count()) + self.delta.len()
-            - self.delta_tombstones.set_count()
+        self.view_len()
     }
 
     /// Returns `true` when no graph is live.
@@ -425,7 +639,7 @@ impl DynamicDatabase {
 
     /// Number of tombstoned graphs awaiting compaction (both segments).
     pub fn tombstone_count(&self) -> usize {
-        self.base_tombstones.set_count() + self.delta_tombstones.set_count()
+        self.base_tombstones.set_count() + self.delta.tombstones.set_count()
     }
 
     /// Upper bound on the live maximum vertex count.
@@ -461,26 +675,12 @@ impl DynamicDatabase {
         self.locations.contains_key(&id)
     }
 
-    /// The live graph with the given id.
-    pub fn graph(&self, id: u64) -> Option<&Graph> {
-        match self.locations.get(&id)? {
-            Location::Base(i) => Some(self.base.graph(*i)),
-            Location::Delta(i) => Some(self.delta.graph(*i)),
-        }
-    }
-
     /// Iterates over `(id, graph)` for every live graph in **canonical
     /// order**: base graphs by base index, then delta graphs by insertion
     /// order. This is the order a compaction (and the equivalence tests'
     /// fresh rebuild) preserves.
-    pub fn live_graphs(&self) -> impl Iterator<Item = (u64, &Graph)> + '_ {
-        let base = (0..self.base.len())
-            .filter(|&i| !self.base_tombstones.get(i))
-            .map(|i| (self.base_ids[i], self.base.graph(i)));
-        let delta = (0..self.delta.len())
-            .filter(|&i| !self.delta_tombstones.get(i))
-            .map(|i| (self.delta_ids[i], self.delta.graph(i)));
-        base.chain(delta)
+    pub fn live_graphs(&self) -> impl Iterator<Item = (u64, LiveGraph<'_>)> + '_ {
+        live_graphs_of(self)
     }
 
     /// Live graph ids in canonical order.
@@ -491,29 +691,18 @@ impl DynamicDatabase {
     /// Inserts a graph into the delta segment and returns its stable id.
     ///
     /// Cost is proportional to the graph itself: one branch extraction, one
-    /// flatten against the shared catalog (interning unseen branches), and
-    /// one postings append per distinct run — no base structure is touched.
-    /// When the catalog [`Arc`] is shared with published generations, only
-    /// an insert that actually interns a *new* branch clones it
-    /// (clone-on-grow); inserts over known vocabulary keep sharing.
+    /// flatten against the base catalog plus the delta log's vocabulary
+    /// overlay (interning unseen branches *there* — the base catalog is never
+    /// touched, let alone copied), and one postings append per distinct run.
     pub fn insert(&mut self, graph: Graph) -> u64 {
-        let multiset = BranchMultiset::from_graph(&graph);
-        let looked_up = self.catalog.flatten_lookup(&multiset);
-        let flat = if looked_up.known_len() == looked_up.len() {
-            looked_up
-        } else {
-            Arc::make_mut(&mut self.catalog).flatten(&multiset)
-        };
         let id = self.next_id;
         self.next_id += 1;
         self.max_vertices_hint = self.max_vertices_hint.max(graph.vertex_count());
         let delta_index = self.delta.len();
-        self.delta.push(graph, &flat);
-        self.delta_ids.push(id);
-        self.delta_tombstones.push_alive();
+        self.delta.append(self.base.catalog(), id, graph);
         self.locations.insert(id, Location::Delta(delta_index));
         if !self.metrics_quiet {
-            crate::obs::record_dynamic_insert(self.delta.len(), self.tombstone_count());
+            crate::obs::record_dynamic_insert(delta_index + 1, self.tombstone_count());
         }
         id
     }
@@ -527,10 +716,10 @@ impl DynamicDatabase {
     pub fn remove(&mut self, id: u64) -> EngineResult<()> {
         match self.locations.remove(&id) {
             Some(Location::Base(i)) => {
-                self.base_tombstones.set(i);
+                Arc::make_mut(&mut self.base_tombstones).set(i);
             }
             Some(Location::Delta(i)) => {
-                self.delta_tombstones.set(i);
+                self.delta.tombstones.set(i);
             }
             None => return Err(EngineError::UnknownGraphId(id)),
         }
@@ -555,15 +744,12 @@ impl DynamicDatabase {
             .live_graphs()
             .map(|(id, graph)| (id, graph.clone()))
             .unzip();
-        // The old base/catalog/id Arcs are replaced, not mutated: published
-        // generations that still share them keep scanning the pre-compaction
-        // state untouched.
+        // The old base, id list and delta log are replaced, not mutated:
+        // published generations that still share them keep scanning the
+        // pre-compaction state, frozen.
         self.base = Arc::new(GraphDatabase::with_alphabets(graphs, self.alphabets));
-        self.catalog = Arc::new(self.base.catalog().clone());
-        self.base_tombstones = Tombstones::new(self.base.len());
-        self.delta = DeltaSegment::default();
-        self.delta_ids.clear();
-        self.delta_tombstones = Tombstones::new(0);
+        self.base_tombstones = Arc::new(Tombstones::new(self.base.len()));
+        self.delta = DeltaCut::default();
         self.locations = ids
             .iter()
             .enumerate()
@@ -617,21 +803,21 @@ pub trait DynamicView {
     fn view_base_ids(&self) -> &[u64];
     /// The tombstone bitset of the base segment.
     fn view_base_tombstones(&self) -> &Tombstones;
-    /// The delta segment.
-    fn view_delta(&self) -> &DeltaSegment;
-    /// Stable ids of the delta graphs by delta index (tombstoned included).
-    fn view_delta_ids(&self) -> &[u64];
+    /// The delta segment as this view sees it, under the delta log's read
+    /// guard — take it late and drop it early (an insert waits for it).
+    fn view_delta(&self) -> DeltaPrefix<'_>;
     /// The tombstone bitset of the delta segment.
     fn view_delta_tombstones(&self) -> &Tombstones;
-    /// The catalog queries are flattened against (base ids a strict prefix).
-    fn view_catalog(&self) -> &BranchCatalog;
+    /// The vocabulary queries are flattened against (base ids a strict
+    /// prefix).
+    fn view_catalog(&self) -> ViewCatalog<'_>;
     /// Upper bound on the live maximum vertex count.
     fn view_max_vertices_hint(&self) -> usize;
 
     /// Number of live graphs in this view.
     fn view_len(&self) -> usize {
-        (self.view_base().len() - self.view_base_tombstones().set_count()) + self.view_delta().len()
-            - self.view_delta_tombstones().set_count()
+        let (base, delta) = (self.view_base_tombstones(), self.view_delta_tombstones());
+        (base.len() - base.set_count()) + (delta.len() - delta.set_count())
     }
 
     /// Vertex counts of the live graphs in canonical order (base by index,
@@ -645,7 +831,7 @@ pub trait DynamicView {
             .chain(
                 (0..delta.len())
                     .filter(|&i| !self.view_delta_tombstones().get(i))
-                    .map(|i| delta.graph(i).vertex_count()),
+                    .map(|i| delta.size_of(i)),
             )
             .collect()
     }
@@ -664,20 +850,16 @@ impl DynamicView for DynamicDatabase {
         &self.base_tombstones
     }
 
-    fn view_delta(&self) -> &DeltaSegment {
-        &self.delta
-    }
-
-    fn view_delta_ids(&self) -> &[u64] {
-        &self.delta_ids
+    fn view_delta(&self) -> DeltaPrefix<'_> {
+        self.delta.prefix()
     }
 
     fn view_delta_tombstones(&self) -> &Tombstones {
-        &self.delta_tombstones
+        &self.delta.tombstones
     }
 
-    fn view_catalog(&self) -> &BranchCatalog {
-        &self.catalog
+    fn view_catalog(&self) -> ViewCatalog<'_> {
+        self.catalog()
     }
 
     fn view_max_vertices_hint(&self) -> usize {
@@ -827,19 +1009,24 @@ impl ScanState {
             &mut outcome,
             &mut local,
         );
-        self.scan_segment(
-            view.view_delta(),
-            view.view_delta_tombstones(),
-            view.view_delta_ids(),
-            index,
-            fixed_extended_size,
-            cap_hint,
-            query_size,
-            &query_flat,
-            &mut sink,
-            &mut outcome,
-            &mut local,
-        );
+        {
+            // The log's read guard spans the delta scan only — never the
+            // base scan above.
+            let delta = view.view_delta();
+            self.scan_segment(
+                &delta,
+                view.view_delta_tombstones(),
+                delta.ids(),
+                index,
+                fixed_extended_size,
+                cap_hint,
+                query_size,
+                &query_flat,
+                &mut sink,
+                &mut outcome,
+                &mut local,
+            );
+        }
         outcome.matches = sink.matches;
         outcome.posteriors = sink.posteriors;
         outcome.stats.scan_seconds = scan_started.elapsed().as_secs_f64();
@@ -862,7 +1049,7 @@ impl ScanState {
         index: &OfflineIndex,
         fixed_extended_size: Option<usize>,
         query: &Graph,
-        on_match: F,
+        mut on_match: F,
     ) -> SearchStats
     where
         F: FnMut(u64, Option<f64>),
@@ -874,7 +1061,6 @@ impl ScanState {
         let query_size = query.vertex_count();
         let mut outcome = DynamicOutcome::default();
         outcome.stats.shards = 1;
-        let mut sink = Subscriber::new(on_match);
         let mut local: HashMap<(usize, u64), f64> = HashMap::new();
         let cap_hint = view.view_max_vertices_hint();
         self.scan_segment(
@@ -886,23 +1072,33 @@ impl ScanState {
             cap_hint,
             query_size,
             &query_flat,
-            &mut sink,
+            &mut Subscriber::new(&mut on_match),
             &mut outcome,
             &mut local,
         );
-        self.scan_segment(
-            view.view_delta(),
-            view.view_delta_tombstones(),
-            view.view_delta_ids(),
-            index,
-            fixed_extended_size,
-            cap_hint,
-            query_size,
-            &query_flat,
-            &mut sink,
-            &mut outcome,
-            &mut local,
-        );
+        // Delta hits are buffered and delivered once the log's read guard is
+        // gone, so the caller's code never runs under it (a callback that
+        // inserts into the same engine would otherwise wait on itself).
+        let mut delta_hits = Vec::new();
+        {
+            let delta = view.view_delta();
+            self.scan_segment(
+                &delta,
+                view.view_delta_tombstones(),
+                delta.ids(),
+                index,
+                fixed_extended_size,
+                cap_hint,
+                query_size,
+                &query_flat,
+                &mut Subscriber::new(|id, phi| delta_hits.push((id, phi))),
+                &mut outcome,
+                &mut local,
+            );
+        }
+        for (id, phi) in delta_hits {
+            on_match(id, phi);
+        }
         if !self.config.force_fixed_pipeline {
             self.planner.observe(&outcome.stats);
         }
@@ -1021,21 +1217,24 @@ impl ScanState {
             &mut outcome.stats,
             &mut local,
         );
-        self.scan_segment_top_k(
-            view.view_delta(),
-            view.view_delta_tombstones(),
-            view.view_delta_ids(),
-            index,
-            fixed_extended_size,
-            cap_hint,
-            query.vertex_count(),
-            &query_flat,
-            k,
-            candidates,
-            &mut sink,
-            &mut outcome.stats,
-            &mut local,
-        );
+        {
+            let delta = view.view_delta();
+            self.scan_segment_top_k(
+                &delta,
+                view.view_delta_tombstones(),
+                delta.ids(),
+                index,
+                fixed_extended_size,
+                cap_hint,
+                query.vertex_count(),
+                &query_flat,
+                k,
+                candidates,
+                &mut sink,
+                &mut outcome.stats,
+                &mut local,
+            );
+        }
         outcome.hits = sink.into_sorted_hits();
         outcome.stats.scan_seconds = scan_started.elapsed().as_secs_f64();
         outcome.seconds = started.elapsed().as_secs_f64();
@@ -1347,6 +1546,62 @@ mod tests {
                 .map(|r| (r.id, r.count))
                 .collect();
             assert_eq!(runs, expected, "delta postings diverge for graph {i}");
+        }
+    }
+
+    /// The snapshot argument of the append-only log: a cut shared at delta
+    /// length `n` keeps reading — while the log grows under it — exactly what
+    /// a log rebuilt from the first `n` graphs alone holds.
+    #[test]
+    fn every_prefix_equals_a_log_rebuilt_from_its_graphs() {
+        let (mut dynamic, _, _) = setup();
+        // Interleaved sizes split the bucket runs; the alien alphabet grows
+        // the vocabulary overlay with almost every insert.
+        let mut rng = StdRng::seed_from_u64(9);
+        let inserted: Vec<Graph> = (0..12)
+            .map(|i| {
+                GeneratorConfig::new(8 + i % 3, 2.2)
+                    .with_alphabets(LabelAlphabets::new(30, 7))
+                    .generate_many(1, &mut rng)
+                    .unwrap()
+                    .remove(0)
+            })
+            .collect();
+        let mut cuts = vec![dynamic.delta.share()];
+        for graph in &inserted {
+            dynamic.insert(graph.clone());
+            cuts.push(dynamic.delta.share());
+        }
+        let base = dynamic.base().clone();
+        let vocabulary = dynamic.catalog().len() as u32;
+        assert!(vocabulary as usize > base.catalog().len());
+
+        for (n, cut) in cuts.iter().enumerate() {
+            let mut rebuilt = DynamicDatabase::new(base.clone());
+            for graph in &inserted[..n] {
+                rebuilt.insert(graph.clone());
+            }
+            let (got, want) = (cut.prefix(), rebuilt.delta());
+            assert_eq!(got.len(), n);
+            assert_eq!(got.ids(), want.ids(), "n={n}");
+            assert_eq!(got.aggregates(), want.aggregates(), "n={n}");
+            assert_eq!(got.bucket_runs(), want.bucket_runs(), "n={n}");
+            assert_eq!(got.distinct_sizes(), want.distinct_sizes(), "n={n}");
+            for id in (0..vocabulary).chain([UNKNOWN_BRANCH_ID]) {
+                assert_eq!(got.postings_of(id), want.postings_of(id), "n={n} id={id}");
+            }
+            for i in 0..n {
+                assert_eq!(got.flat_view(i).runs(), want.flat_view(i).runs());
+                assert_eq!(got.flat_view(i).len(), want.flat_view(i).len());
+            }
+            drop((got, want));
+            // The cut's vocabulary stops where it stood at length `n`: every
+            // later graph flattens as it did then.
+            let (got, want) = (cut.catalog_over(base.catalog()), rebuilt.catalog());
+            assert_eq!(got.len(), want.len(), "n={n}");
+            for graph in &inserted {
+                assert_eq!(got.flatten_graph(graph), want.flatten_graph(graph), "n={n}");
+            }
         }
     }
 

@@ -87,7 +87,8 @@ pub use concurrent::{ConcurrentEngine, Generation, SnapshotReader};
 pub use config::{DurabilityConfig, GbdaConfig, GbdaVariant, TelemetryLevel};
 pub use database::{BucketRun, DatabaseParts, GraphAggregate, GraphDatabase, Posting};
 pub use dynamic::{
-    DeltaSegment, DynamicDatabase, DynamicEngine, DynamicOutcome, DynamicView, Tombstones,
+    DeltaPrefix, DynamicDatabase, DynamicEngine, DynamicOutcome, DynamicView, LiveGraph,
+    Tombstones, ViewCatalog,
 };
 pub use effectiveness::{aggregate, Confusion};
 pub use engine::QueryEngine;

@@ -132,7 +132,22 @@ impl BranchCatalog {
     /// so a merge against a fully interned set stays exact. This is the
     /// query-side conversion: it is lock-free and shareable across threads.
     pub fn flatten_lookup(&self, multiset: &BranchMultiset) -> FlatBranchSet {
-        flatten_runs(multiset, |branch| self.id_of(branch))
+        self.flatten_lookup_with(multiset, |_| None)
+    }
+
+    /// [`Self::flatten_lookup`] over this catalog extended by a vocabulary
+    /// `overlay`: a branch absent from the catalog is resolved through
+    /// `overlay` (whose ids continue past [`Self::len`]), and only what both
+    /// miss collapses into the [`UNKNOWN_BRANCH_ID`] run. The catalog itself
+    /// stays immutable, so it can be shared while the overlay grows.
+    pub fn flatten_lookup_with(
+        &self,
+        multiset: &BranchMultiset,
+        mut overlay: impl FnMut(&Branch) -> Option<u32>,
+    ) -> FlatBranchSet {
+        flatten_runs(multiset, |branch| {
+            self.id_of(branch).or_else(|| overlay(branch))
+        })
     }
 
     /// Flattens the branch multiset of `graph` without mutating the catalog.
@@ -463,6 +478,29 @@ mod tests {
         assert_eq!(flat.intersection_size(&db_side), 0);
         assert_eq!(flat.gbd(&db_side), 3);
         assert_eq!(catalog.id_of(&branch(1000, &[1])), None, "lookup is pure");
+    }
+
+    #[test]
+    fn overlay_resolves_only_what_the_catalog_lacks() {
+        let mut catalog = BranchCatalog::new();
+        catalog.intern(branch(0, &[1]));
+        let query = BranchMultiset::from_branches(vec![
+            branch(0, &[1]),
+            branch(7, &[]),
+            branch(7, &[]),
+            branch(8, &[]),
+        ]);
+        let mut asked = Vec::new();
+        let flat = catalog.flatten_lookup_with(&query, |b| {
+            asked.push(b.clone());
+            (*b == branch(7, &[])).then_some(1)
+        });
+        // The catalogued branch never reaches the overlay; the overlay's id
+        // lands in sorted position; what both miss is the unknown run.
+        assert_eq!(asked, vec![branch(7, &[]), branch(8, &[])]);
+        let runs: Vec<(u32, u32)> = flat.runs().iter().map(|r| (r.id, r.count)).collect();
+        assert_eq!(runs, vec![(0, 1), (1, 2), (UNKNOWN_BRANCH_ID, 1)]);
+        assert_eq!(catalog.len(), 1, "the catalog itself never grows");
     }
 
     #[test]

@@ -200,12 +200,14 @@ fn dispatch(state: &ServeState, request: &Request) -> Response {
                 Ok(graph) => graph,
                 Err(response) => return response,
             };
-            let id = state.engine.insert(graph);
+            // The epoch echoed is the one this insert published, not whatever
+            // is current by now: another writer may already have moved on.
+            let (id, epoch) = state.engine.insert_published(graph);
             Response::json(
                 200,
                 JsonValue::Object(vec![
                     ("id".into(), number(id as f64)),
-                    ("epoch".into(), number(state.engine.reader().epoch() as f64)),
+                    ("epoch".into(), number(epoch as f64)),
                 ])
                 .render(),
             )
@@ -219,13 +221,9 @@ fn dispatch(state: &ServeState, request: &Request) -> Response {
                 return Response::error(400, "body needs a non-negative integer \"id\"");
             };
             match state.engine.remove(id as u64) {
-                Ok(()) => Response::json(
+                Ok(epoch) => Response::json(
                     200,
-                    JsonValue::Object(vec![(
-                        "epoch".into(),
-                        number(state.engine.reader().epoch() as f64),
-                    )])
-                    .render(),
+                    JsonValue::Object(vec![("epoch".into(), number(epoch as f64))]).render(),
                 ),
                 Err(e) => Response::error(404, &e.to_string()),
             }
@@ -384,6 +382,73 @@ mod tests {
         assert_eq!(response.status, 200);
         let response = handle(&state, &post("/remove", "{\"id\": 999}"));
         assert_eq!(response.status, 404);
+    }
+
+    /// Two writer connections at once: each `/insert` and `/remove` echoes
+    /// the epoch of the generation *it* published, so the echoed epochs are
+    /// pairwise distinct, number the mutations 1..=N, and replaying them in
+    /// echoed order reproduces every generation the writers pinned.
+    #[test]
+    fn concurrent_writers_echo_their_own_epochs() {
+        const ROUNDS: usize = 500;
+        let state = state();
+        let initial = state.engine.pin().live_ids();
+        let field = |response: &Response, name: &str| {
+            assert_eq!(response.status, 200);
+            let document = json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+            document.get(name).and_then(JsonValue::as_usize).unwrap() as u64
+        };
+        let start = std::sync::Barrier::new(2);
+        let writer = || {
+            start.wait();
+            let mut acks = Vec::new(); // (epoch, id, inserted?)
+            let mut pins = Vec::new();
+            for _ in 0..ROUNDS {
+                let body = format!("{{\"graph\": {TRIANGLE}}}");
+                let response = handle(&state, &post("/insert", &body));
+                let (id, epoch) = (field(&response, "id"), field(&response, "epoch"));
+                let pinned = state.engine.pin();
+                // Nobody else removes this id, so it is in every generation
+                // from the echoed one up to this writer's own remove.
+                assert!(pinned.epoch() >= epoch);
+                assert!(pinned.live_ids().contains(&id));
+                acks.push((epoch, id, true));
+                pins.push(pinned);
+
+                let response = handle(&state, &post("/remove", &format!("{{\"id\": {id}}}")));
+                let epoch = field(&response, "epoch");
+                let pinned = state.engine.pin();
+                assert!(pinned.epoch() >= epoch);
+                assert!(!pinned.live_ids().contains(&id));
+                acks.push((epoch, id, false));
+                pins.push(pinned);
+            }
+            (acks, pins)
+        };
+        let ((mut acks, mut pins), (other_acks, other_pins)) = std::thread::scope(|scope| {
+            let other = scope.spawn(writer);
+            (writer(), other.join().unwrap())
+        });
+        acks.extend(other_acks);
+        pins.extend(other_pins);
+
+        acks.sort_unstable();
+        let epochs: Vec<u64> = acks.iter().map(|&(epoch, _, _)| epoch).collect();
+        assert_eq!(epochs, (1..=4 * ROUNDS as u64).collect::<Vec<_>>());
+        // live[e] is the live set after the mutation that echoed epoch e.
+        let mut live = vec![initial];
+        for &(_, id, inserted) in &acks {
+            let mut next = live.last().unwrap().clone();
+            if inserted {
+                next.push(id);
+            } else {
+                next.retain(|&other| other != id);
+            }
+            live.push(next);
+        }
+        for pinned in pins {
+            assert_eq!(pinned.live_ids(), live[pinned.epoch() as usize]);
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@ use crate::error::StoreResult;
 use crate::vfs::Vfs;
 
 /// A crash-safe [`DurableDatabase`] served through snapshot-isolated
-/// generations: readers pin with one atomic-cost load and never block the
-/// writer; every published generation corresponds to a WAL-acknowledged
-/// state.
+/// generations: readers pin with one `Arc` clone and never wait for a WAL
+/// append or a capture; every published generation corresponds to a
+/// WAL-acknowledged state.
 ///
 /// Mutations are serialized through an internal mutex (the WAL is a single
 /// append stream anyway); queries go through the embedded
@@ -94,16 +94,16 @@ impl<V: Vfs> ConcurrentDurable<V> {
     }
 
     /// Durably removes `id`: WAL append + ack first, generation publication
-    /// strictly after.
+    /// strictly after. Returns the epoch of the generation it published —
+    /// the first one that lacks `id`.
     ///
     /// # Errors
     /// Propagates the errors of [`DurableDatabase::remove`] (unknown id,
     /// WAL failures); on error no new generation is published.
-    pub fn remove(&self, id: u64) -> StoreResult<()> {
+    pub fn remove(&self, id: u64) -> StoreResult<u64> {
         let mut db = self.writer.lock().expect("durable writer mutex poisoned");
         db.remove(id)?;
-        self.reader.publish(db.database());
-        Ok(())
+        Ok(self.reader.publish(db.database()))
     }
 
     /// Rotates to a compacted snapshot generation and publishes the
