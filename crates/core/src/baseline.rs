@@ -13,7 +13,7 @@ use gbd_ged::GedEstimate;
 use gbd_graph::Graph;
 
 use crate::database::GraphDatabase;
-use crate::search::{GbdaSearcher, SearchOutcome};
+use crate::search::SearchOutcome;
 
 /// Anything that can answer a graph similarity-search query over a database.
 pub trait SimilaritySearcher {
@@ -72,16 +72,6 @@ impl<'a, E: GedEstimate> SimilaritySearcher for EstimatorSearcher<'a, E> {
             seconds: started.elapsed().as_secs_f64(),
             ..SearchOutcome::default()
         }
-    }
-}
-
-impl<'a> SimilaritySearcher for GbdaSearcher<'a> {
-    fn name(&self) -> String {
-        "GBDA".to_owned()
-    }
-
-    fn search(&self, query: &Graph) -> SearchOutcome {
-        GbdaSearcher::search(self, query)
     }
 }
 

@@ -6,7 +6,8 @@
 //! borrows it exclusively. A serving workload needs both *at once*:
 //! thousands of readers while inserts, removes and compaction proceed.
 //! This module adds epoch-style snapshot isolation on top of the same scan
-//! machinery:
+//! driver, in the same dynamic view shape (base part + delta-prefix part,
+//! one lane — see [`crate::dynamic`]):
 //!
 //! * A **[`Generation`]** is an immutable snapshot of one dynamic state,
 //!   carrying a monotonically increasing **epoch**. It *shares* everything
@@ -51,8 +52,7 @@
 //! interleaving proptests in `tests/serving.rs` verify this across
 //! Standard/V1/V2 × threshold/top-k/streaming.
 
-use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use parking_lot::{Mutex, RwLock};
@@ -62,17 +62,14 @@ use gbd_graph::{Graph, LabelAlphabets};
 use crate::config::GbdaConfig;
 use crate::database::GraphDatabase;
 use crate::dynamic::{
-    fixed_extended_size_for, live_graphs_of, DeltaCut, DeltaPrefix, DynamicDatabase,
-    DynamicOutcome, DynamicView, LiveGraph, ScanState, Tombstones, ViewCatalog,
+    live_graphs_of, DeltaCut, DeltaPrefix, DynamicDatabase, DynamicOutcome, DynamicView, LiveGraph,
+    Tombstones, ViewCatalog, ViewScan,
 };
 use crate::error::EngineResult;
 use crate::offline::OfflineIndex;
+use crate::scan::Scanner;
 use crate::search::SearchStats;
 use crate::topk::DynamicTopKOutcome;
-
-/// Epochs whose GBDA-V1 sample memo is retained before the map is pruned;
-/// purely a bound on memo memory — entries are recomputed on miss.
-const V1_MEMO_CAPACITY: usize = 32;
 
 /// An immutable snapshot of one dynamic-layer state, published at a fixed
 /// **epoch**.
@@ -94,6 +91,11 @@ pub struct Generation {
     delta: DeltaCut,
     alphabets: LabelAlphabets,
     max_vertices_hint: usize,
+    /// The GBDA-V1 `|V'1|` sample over this generation's live set (`None`
+    /// for the other variants), drawn by the first query that needs it: a
+    /// deterministic function of the reader's seed and the live vertex
+    /// counts, so it lives and dies with the generation.
+    fixed_extended_size: OnceLock<Option<usize>>,
 }
 
 impl Generation {
@@ -110,6 +112,7 @@ impl Generation {
             delta: database.delta_cut().share(),
             alphabets: database.alphabets(),
             max_vertices_hint: database.max_vertices_hint(),
+            fixed_extended_size: OnceLock::new(),
         }
     }
 
@@ -179,8 +182,8 @@ impl DynamicView for Generation {
 }
 
 /// The reader half of the concurrent serving layer: a publication cell of
-/// [`Generation`]s plus the shared scan machinery that runs queries over
-/// whichever generation a reader pinned.
+/// [`Generation`]s plus the scan driver that runs queries over whichever
+/// generation a reader pinned.
 ///
 /// Pinning ([`Self::pin`]) is one `Arc` clone under the cell's read lock;
 /// [`Self::publish`] (called by the writer) holds the write lock for a
@@ -192,34 +195,28 @@ impl DynamicView for Generation {
 /// stages, which never changes results.
 pub struct SnapshotReader {
     index: OfflineIndex,
-    state: ScanState,
+    scanner: Scanner,
     cell: RwLock<Arc<Generation>>,
-    /// Per-epoch GBDA-V1 `|V'1|` samples. A memo, not a cache of truth:
-    /// the sample is a deterministic function of the seed and the pinned
-    /// generation's live vertex counts, so a pruned entry is simply
-    /// recomputed bit-identically.
-    v1_sizes: RwLock<HashMap<u64, usize>>,
 }
 
 impl SnapshotReader {
     /// Publishes the database's current state as epoch 0 and readies the
-    /// scan machinery. Applies `config.telemetry` via
+    /// scan driver. Applies `config.telemetry` via
     /// [`gbd_telemetry::escalate_level`], like every engine constructor.
     pub fn new(database: &DynamicDatabase, index: OfflineIndex, config: GbdaConfig) -> Self {
-        gbd_telemetry::escalate_level(config.telemetry);
+        let scanner = Scanner::new(config);
         let generation = Arc::new(Generation::capture(database, 0));
         crate::obs::record_generation_publish(0, generation.len());
         SnapshotReader {
             index,
-            state: ScanState::new(config),
+            scanner,
             cell: RwLock::new(generation),
-            v1_sizes: RwLock::new(HashMap::new()),
         }
     }
 
     /// The configuration queries run with.
     pub fn config(&self) -> &GbdaConfig {
-        &self.state.config
+        &self.scanner.config
     }
 
     /// The offline index queries run against.
@@ -259,33 +256,25 @@ impl SnapshotReader {
         epoch
     }
 
-    /// The GBDA-V1 fixed `|V'1|` for one generation (`None` for the other
-    /// variants), memoized by epoch.
-    fn fixed_extended_size(&self, generation: &Generation) -> Option<usize> {
-        if !matches!(
-            self.state.config.variant,
-            crate::config::GbdaVariant::AverageExtendedSize { .. }
-        ) {
-            return None;
+    /// The scan driver pointed at one pinned generation.
+    fn scan<'a>(&'a self, generation: &'a Generation) -> ViewScan<'a, Generation> {
+        let fixed_extended_size = *generation.fixed_extended_size.get_or_init(|| {
+            self.scanner
+                .fixed_extended_size(|| generation.view_live_vertex_counts())
+        });
+        ViewScan {
+            scanner: &self.scanner,
+            view: generation,
+            index: &self.index,
+            fixed_extended_size,
         }
-        if let Some(&size) = self.v1_sizes.read().get(&generation.epoch) {
-            return Some(size);
-        }
-        let size = fixed_extended_size_for(generation, &self.state.config)?;
-        let mut memo = self.v1_sizes.write();
-        if memo.len() >= V1_MEMO_CAPACITY {
-            memo.clear();
-        }
-        memo.insert(generation.epoch, size);
-        Some(size)
     }
 
     /// Runs Algorithm 1 against a pinned generation. Bit-identical to a
     /// [`crate::DynamicEngine`] (or a fresh static [`crate::QueryEngine`]) over
     /// that generation's live set.
     pub fn search_pinned(&self, generation: &Generation, query: &Graph) -> DynamicOutcome {
-        let fixed = self.fixed_extended_size(generation);
-        self.state.search(generation, &self.index, fixed, query)
+        self.scan(generation).search(query)
     }
 
     /// Pins the current generation and runs Algorithm 1 against it.
@@ -301,9 +290,7 @@ impl SnapshotReader {
         query: &Graph,
         k: usize,
     ) -> DynamicTopKOutcome {
-        let fixed = self.fixed_extended_size(generation);
-        self.state
-            .search_top_k(generation, &self.index, fixed, query, k)
+        self.scan(generation).search_top_k(query, k)
     }
 
     /// Pins the current generation and runs a ranked query against it.
@@ -322,9 +309,7 @@ impl SnapshotReader {
     where
         F: FnMut(u64, Option<f64>),
     {
-        let fixed = self.fixed_extended_size(generation);
-        self.state
-            .search_streaming(generation, &self.index, fixed, query, on_match)
+        self.scan(generation).search_streaming(query, on_match)
     }
 
     /// Pins the current generation and streams hits from it.

@@ -21,16 +21,24 @@
 //!
 //! [`DynamicDatabase::compact`] folds delta and tombstones into a fresh base
 //! segment; afterwards the database is structurally identical to
-//! [`GraphDatabase::with_alphabets`] over the surviving graphs. At *any*
-//! point — compacted or not — [`DynamicEngine`] returns bit-identical
-//! matches and posteriors to a [`crate::QueryEngine`] over a freshly built
-//! database of the survivors (given the same [`OfflineIndex`]), for every
-//! variant and cascade mode; the equivalence proptests in the workspace
-//! exercise random insert/remove/compact interleavings.
+//! [`GraphDatabase::with_alphabets`] over the surviving graphs.
+//!
+//! Queries run on the one scan driver every engine shares (`scan.rs`), in
+//! its **dynamic view shape**: the base segment as one part, then the
+//! view's [`DeltaPrefix`] as a second part under the delta log's read guard,
+//! each under its tombstone mask and keyed by stable ids, in one lane — so
+//! one sink (one top-k heap) spans both. [`crate::QueryEngine`] is the
+//! other shape (one unmasked part, `config.shards` lanes); no scan logic
+//! lives in either. At *any* point — compacted or not — [`DynamicEngine`]
+//! therefore returns bit-identical matches and posteriors to a
+//! [`crate::QueryEngine`] over a freshly built database of the survivors
+//! (given the same [`OfflineIndex`]), for every variant and cascade mode;
+//! the equivalence proptests in the workspace exercise random
+//! insert/remove/compact interleavings.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
@@ -39,16 +47,13 @@ use gbd_graph::{
     LabelAlphabets, UNKNOWN_BRANCH_ID,
 };
 
-use crate::config::{GbdaConfig, GbdaVariant};
+use crate::config::GbdaConfig;
 use crate::database::{BucketRun, GraphAggregate, GraphDatabase, Posting};
 use crate::error::{EngineError, EngineResult};
-use crate::filter::planner::{Planner, QueryPlan};
-use crate::filter::{
-    compute_rank_decision, compute_size_decision, RankDecision, SegmentIndex, SizeDecision,
-};
-use crate::kernel::{CollectAll, ScanKernel, StaticPhi, Subscriber, TighteningRank, TopKSink};
+use crate::filter::SegmentIndex;
+use crate::kernel::{CollectAll, Sink, Subscriber, TopKSink};
 use crate::offline::OfflineIndex;
-use crate::posterior_cache::PosteriorCache;
+use crate::scan::{inline, Mode, Rank, Scanner, Target, Threshold};
 use crate::search::SearchStats;
 use crate::topk::DynamicTopKOutcome;
 
@@ -93,6 +98,11 @@ impl Tombstones {
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// The slots not tombstoned, ascending.
+    pub(crate) fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).filter(|&i| !self.get(i))
     }
 
     /// Appends one alive slot.
@@ -436,12 +446,14 @@ pub(crate) fn live_graphs_of<V: DynamicView + ?Sized>(
     view: &V,
 ) -> impl Iterator<Item = (u64, LiveGraph<'_>)> + '_ {
     let base = view.view_base();
-    let base_part = (0..base.len())
-        .filter(|&i| !view.view_base_tombstones().get(i))
+    let base_part = view
+        .view_base_tombstones()
+        .live()
         .map(move |i| (view.view_base_ids()[i], LiveGraph::Base(base.graph(i))));
     let delta = view.view_delta();
-    let delta_part: Vec<_> = (0..delta.len())
-        .filter(|&i| !view.view_delta_tombstones().get(i))
+    let delta_part: Vec<_> = view
+        .view_delta_tombstones()
+        .live()
         .map(|i| {
             (
                 delta.ids()[i],
@@ -791,9 +803,8 @@ pub struct DynamicOutcome {
 ///
 /// Implemented by [`DynamicDatabase`] itself (the live, writer-owned state)
 /// and by [`crate::concurrent::Generation`] (an immutable published
-/// snapshot), so one scan implementation — the crate-private `ScanState`
-/// — serves the
-/// borrow-checked [`DynamicEngine`] and the snapshot-isolated
+/// snapshot), so the one scan driver serves the borrow-checked
+/// [`DynamicEngine`] and the snapshot-isolated
 /// [`crate::concurrent::ConcurrentEngine`] alike. Method names carry a
 /// `view_` prefix so they never shadow the richer inherent accessors.
 pub trait DynamicView {
@@ -823,17 +834,13 @@ pub trait DynamicView {
     /// Vertex counts of the live graphs in canonical order (base by index,
     /// then delta by insertion order) — the GBDA-V1 sampling population.
     fn view_live_vertex_counts(&self) -> Vec<usize> {
-        let base = self.view_base();
-        let delta = self.view_delta();
-        (0..base.len())
-            .filter(|&i| !self.view_base_tombstones().get(i))
-            .map(|i| base.size_of(i))
-            .chain(
-                (0..delta.len())
-                    .filter(|&i| !self.view_delta_tombstones().get(i))
-                    .map(|i| delta.size_of(i)),
-            )
-            .collect()
+        let (base, delta) = (self.view_base(), self.view_delta());
+        let base_sizes = self.view_base_tombstones().live().map(|i| base.size_of(i));
+        let delta_sizes = self
+            .view_delta_tombstones()
+            .live()
+            .map(|i| delta.size_of(i));
+        base_sizes.chain(delta_sizes).collect()
     }
 }
 
@@ -867,468 +874,144 @@ impl DynamicView for DynamicDatabase {
     }
 }
 
-/// The view-independent scan machinery shared by every dynamic search
-/// path: configuration, posterior memo, per-size decision tables and the
-/// stage planner. [`DynamicEngine`] owns one and feeds it its borrowed
-/// [`DynamicDatabase`]; [`crate::concurrent::SnapshotReader`] owns one and
-/// feeds it whatever [`crate::concurrent::Generation`] a reader pinned —
-/// all of its state is internally synchronized, so concurrent searches
-/// over *different* generations share the memos safely.
+/// The dynamic view shape of the scan driver: a [`Scanner`] pointed at one
+/// [`DynamicView`] — the base segment as one part, then the view's
+/// [`DeltaPrefix`] as a second part under the delta log's read guard, both
+/// under their tombstone masks and keyed by stable ids, in **one lane**, so
+/// one sink spans both parts (a strong base candidate tightens the rank
+/// bound that prunes delta graphs and vice versa).
 ///
-/// Decision tables are keyed by `(extended_size, cap)` because the
-/// vertex-count cap can grow from one generation to the next; for a fixed
-/// view (the [`DynamicEngine`] case) the cap is constant and the extra key
-/// component is inert.
-pub(crate) struct ScanState {
-    pub(crate) config: GbdaConfig,
-    cache: PosteriorCache,
-    decisions: RwLock<HashMap<(usize, u64), SizeDecision>>,
-    rank_decisions: RwLock<HashMap<(usize, u64), Arc<RankDecision>>>,
-    /// The per-query stage planner, consulted separately for each segment
-    /// (a big base and a small delta usually deserve different schedules);
-    /// bypassed under [`GbdaConfig::force_fixed_pipeline`].
-    planner: Planner,
+/// [`DynamicEngine`] builds one over its borrowed [`DynamicDatabase`],
+/// [`crate::concurrent::SnapshotReader`] over whatever
+/// [`crate::concurrent::Generation`] a reader pinned.
+pub(crate) struct ViewScan<'a, V: ?Sized> {
+    pub(crate) scanner: &'a Scanner,
+    pub(crate) view: &'a V,
+    pub(crate) index: &'a OfflineIndex,
+    pub(crate) fixed_extended_size: Option<usize>,
 }
 
-impl ScanState {
-    pub(crate) fn new(config: GbdaConfig) -> Self {
-        ScanState {
-            cache: PosteriorCache::new(config.tau_hat),
-            decisions: RwLock::new(HashMap::new()),
-            rank_decisions: RwLock::new(HashMap::new()),
-            planner: Planner::new(),
-            config,
-        }
-    }
-
-    fn size_decision(&self, index: &OfflineIndex, extended_size: usize, cap: u64) -> SizeDecision {
-        if let Some(&decision) = self.decisions.read().get(&(extended_size, cap)) {
-            return decision;
-        }
-        let decision =
-            compute_size_decision(&self.cache, index, self.config.gamma, extended_size, cap);
-        self.decisions
-            .write()
-            .insert((extended_size, cap), decision);
-        decision
-    }
-
-    /// The ranked-scan counterpart of [`Self::size_decision`]: the posterior
-    /// suffix-maximum table for one extended size, capped by the view's
-    /// vertex-count hint (an overestimated cap costs only memo entries,
-    /// never correctness).
-    fn rank_decision(
+impl<V: DynamicView + ?Sized> ViewScan<'_, V> {
+    /// One driver run over base then delta. `before_part` sees each part's
+    /// tombstones and stable ids (by slot) just before it is scanned, and
+    /// whether the log's read guard is held across it.
+    fn run<M: Mode, K: Sink<u64>>(
         &self,
-        index: &OfflineIndex,
-        extended_size: usize,
-        cap: u64,
-    ) -> Arc<RankDecision> {
-        if let Some(decision) = self.rank_decisions.read().get(&(extended_size, cap)) {
-            return Arc::clone(decision);
-        }
-        let decision = Arc::new(compute_rank_decision(
-            &self.cache,
-            index,
-            extended_size,
-            cap,
-        ));
-        Arc::clone(
-            self.rank_decisions
-                .write()
-                .entry((extended_size, cap))
-                .or_insert(decision),
-        )
-    }
-
-    /// The GBDA-V2 weight, `None` for the other variants.
-    fn weight(&self) -> Option<f64> {
-        match self.config.variant {
-            GbdaVariant::WeightedGbd { weight } => Some(weight),
-            _ => None,
-        }
-    }
-
-    /// Builds the [`ScanKernel`] for one flattened query over one segment,
-    /// carrying the stage schedule the planner chose for *this* segment.
-    fn kernel<'q, S: SegmentIndex>(
-        &'q self,
-        segment: &'q S,
-        query_size: usize,
-        query_flat: &'q FlatBranchSet,
-        fixed_extended_size: Option<usize>,
-    ) -> ScanKernel<'q, S> {
-        let plan = if self.config.force_fixed_pipeline {
-            QueryPlan::fixed()
-        } else {
-            self.planner.plan_for(segment, query_flat)
+        span: &'static str,
+        query: &Graph,
+        mode: M,
+        sink: K,
+        mut before_part: impl FnMut(&Tombstones, &[u64], bool),
+    ) -> (K, SearchStats, f64) {
+        let view = self.view;
+        let target = Target {
+            span,
+            index: self.index,
+            fixed_extended_size: self.fixed_extended_size,
+            max_vertices: view.view_max_vertices_hint(),
+            candidates: view.view_len(),
         };
-        ScanKernel::new(
-            segment,
-            query_flat,
-            query_size,
-            fixed_extended_size,
-            self.weight(),
-            self.config.filter_cascade,
-        )
-        .with_plan(plan)
+        let flatten = |branches: &BranchMultiset| view.view_catalog().flatten_lookup(branches);
+        let (mut sinks, stats, seconds) =
+            self.scanner
+                .run(target, query, flatten, mode, vec![sink], |run| {
+                    let (tombstones, ids) = (view.view_base_tombstones(), view.view_base_ids());
+                    before_part(tombstones, ids, false);
+                    run.part(view.view_base(), |i| tombstones.get(i), |i| ids[i], inline);
+                    // The guard spans the delta scan only — never the base scan.
+                    let delta = view.view_delta();
+                    let (tombstones, ids) = (view.view_delta_tombstones(), delta.ids());
+                    before_part(tombstones, ids, true);
+                    run.part(&delta, |i| tombstones.get(i), |i| ids[i], inline);
+                });
+        (sinks.pop().expect("one sink in, one out"), stats, seconds)
     }
 
-    /// Runs Algorithm 1 over a view's live set: base then delta, each under
-    /// its tombstone mask, both through the same filter cascade.
-    pub(crate) fn search<V: DynamicView + ?Sized>(
-        &self,
-        view: &V,
-        index: &OfflineIndex,
-        fixed_extended_size: Option<usize>,
-        query: &Graph,
-    ) -> DynamicOutcome {
-        let started = Instant::now();
-        let _span = gbd_telemetry::span!("dynamic.search");
-        let flatten_started = Instant::now();
-        let query_branches = BranchMultiset::from_graph(query);
-        let query_flat = view.view_catalog().flatten_lookup(&query_branches);
-        let query_size = query.vertex_count();
-        let mut outcome = DynamicOutcome::default();
-        outcome.stats.shards = 1;
-        outcome.stats.flatten_seconds = flatten_started.elapsed().as_secs_f64();
-        let mut sink = CollectAll::new(self.config.record_posteriors);
-        let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-        let cap_hint = view.view_max_vertices_hint();
-
-        let scan_started = Instant::now();
-        self.scan_segment(
-            view.view_base(),
-            view.view_base_tombstones(),
-            view.view_base_ids(),
-            index,
-            fixed_extended_size,
-            cap_hint,
-            query_size,
-            &query_flat,
-            &mut sink,
-            &mut outcome,
-            &mut local,
+    /// Runs Algorithm 1 over the view's live set.
+    pub(crate) fn search(&self, query: &Graph) -> DynamicOutcome {
+        let mut live = Vec::new();
+        let sink = CollectAll::new(self.scanner.config.record_posteriors);
+        let (sink, stats, seconds) = self.run(
+            "dynamic.search",
+            query,
+            Threshold,
+            sink,
+            |tombstones, ids, _| live.extend(tombstones.live().map(|i| ids[i])),
         );
-        {
-            // The log's read guard spans the delta scan only — never the
-            // base scan above.
-            let delta = view.view_delta();
-            self.scan_segment(
-                &delta,
-                view.view_delta_tombstones(),
-                delta.ids(),
-                index,
-                fixed_extended_size,
-                cap_hint,
-                query_size,
-                &query_flat,
-                &mut sink,
-                &mut outcome,
-                &mut local,
-            );
+        DynamicOutcome {
+            ids: live,
+            matches: sink.matches,
+            posteriors: sink.posteriors,
+            seconds,
+            stats,
         }
-        outcome.matches = sink.matches;
-        outcome.posteriors = sink.posteriors;
-        outcome.stats.scan_seconds = scan_started.elapsed().as_secs_f64();
-        outcome.seconds = started.elapsed().as_secs_f64();
-        if !self.config.force_fixed_pipeline {
-            self.planner.observe(&outcome.stats);
-        }
-        crate::obs::record_search(&outcome.stats, outcome.seconds);
-        outcome
     }
 
-    /// The [`Subscriber`]-sink instantiation over a view: hits are delivered
-    /// to `on_match` as the scan (base then delta, ascending stable ids)
-    /// finds them. Fast-path accepts arrive with `None`; resolved hits carry
-    /// `Some(Φ)`. The delivered id set is exactly [`Self::search`]'s
-    /// `matches`, in the same order.
-    pub(crate) fn search_streaming<V: DynamicView + ?Sized, F>(
-        &self,
-        view: &V,
-        index: &OfflineIndex,
-        fixed_extended_size: Option<usize>,
-        query: &Graph,
-        mut on_match: F,
-    ) -> SearchStats
+    /// The [`Subscriber`]-sink instantiation: base hits reach `on_match` as
+    /// the scan finds them. Delta hits are buffered and delivered once the
+    /// log's read guard is gone, so the caller's code never runs under it (a
+    /// callback that inserts into the same engine would otherwise wait on
+    /// itself).
+    pub(crate) fn search_streaming<F>(&self, query: &Graph, mut on_match: F) -> SearchStats
     where
         F: FnMut(u64, Option<f64>),
     {
-        let started = Instant::now();
-        let _span = gbd_telemetry::span!("dynamic.search_streaming");
-        let query_branches = BranchMultiset::from_graph(query);
-        let query_flat = view.view_catalog().flatten_lookup(&query_branches);
-        let query_size = query.vertex_count();
-        let mut outcome = DynamicOutcome::default();
-        outcome.stats.shards = 1;
-        let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-        let cap_hint = view.view_max_vertices_hint();
-        self.scan_segment(
-            view.view_base(),
-            view.view_base_tombstones(),
-            view.view_base_ids(),
-            index,
-            fixed_extended_size,
-            cap_hint,
-            query_size,
-            &query_flat,
-            &mut Subscriber::new(&mut on_match),
-            &mut outcome,
-            &mut local,
+        let guarded = Cell::new(false);
+        let mut deferred = Vec::new();
+        let sink = Subscriber::new(|id, phi| {
+            if guarded.get() {
+                deferred.push((id, phi));
+            } else {
+                on_match(id, phi);
+            }
+        });
+        let (_, stats, _) = self.run(
+            "dynamic.search_streaming",
+            query,
+            Threshold,
+            sink,
+            |_, _, under_guard| guarded.set(under_guard),
         );
-        // Delta hits are buffered and delivered once the log's read guard is
-        // gone, so the caller's code never runs under it (a callback that
-        // inserts into the same engine would otherwise wait on itself).
-        let mut delta_hits = Vec::new();
-        {
-            let delta = view.view_delta();
-            self.scan_segment(
-                &delta,
-                view.view_delta_tombstones(),
-                delta.ids(),
-                index,
-                fixed_extended_size,
-                cap_hint,
-                query_size,
-                &query_flat,
-                &mut Subscriber::new(|id, phi| delta_hits.push((id, phi))),
-                &mut outcome,
-                &mut local,
-            );
-        }
-        for (id, phi) in delta_hits {
+        for (id, phi) in deferred {
             on_match(id, phi);
         }
-        if !self.config.force_fixed_pipeline {
-            self.planner.observe(&outcome.stats);
-        }
-        crate::obs::record_search(&outcome.stats, started.elapsed().as_secs_f64());
-        outcome.stats
+        stats
     }
 
-    /// Scans one segment under its tombstone mask: one [`ScanKernel`]
-    /// instantiation under a [`StaticPhi`] cutoff, keyed by stable ids.
-    /// Per-graph results are independent of the neighbours, so skipping
-    /// tombstoned slots cannot change the survivors' values.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_segment<S: SegmentIndex, K: crate::kernel::Sink<u64>>(
-        &self,
-        segment: &S,
-        tombstones: &Tombstones,
-        ids: &[u64],
-        index: &OfflineIndex,
-        fixed_extended_size: Option<usize>,
-        cap_hint: usize,
-        query_size: usize,
-        query_flat: &FlatBranchSet,
-        sink: &mut K,
-        outcome: &mut DynamicOutcome,
-        local: &mut HashMap<(usize, u64), f64>,
-    ) {
-        let kernel = self.kernel(segment, query_size, query_flat, fixed_extended_size);
-        let cutoff = StaticPhi::prepare(
-            &kernel,
-            self.config.gamma,
-            self.config.record_posteriors,
-            |extended_size| {
-                self.size_decision(index, extended_size, cap_hint.max(extended_size) as u64)
-            },
-        );
-        outcome.ids.extend(
-            (0..segment.segment_len())
-                .filter(|&i| !tombstones.get(i))
-                .map(|i| ids[i]),
-        );
-        kernel.scan(
-            0..segment.segment_len(),
-            &cutoff,
-            sink,
-            &mut outcome.stats,
-            |i| tombstones.get(i),
-            |i| ids[i],
-            |stats, extended_size, phi| {
-                crate::engine::lookup_posterior_memoized(
-                    &self.cache,
-                    index,
-                    local,
-                    stats,
-                    extended_size,
-                    phi,
-                )
-            },
-        );
-        if !self.config.force_fixed_pipeline && segment.segment_len() > 0 {
-            Planner::book(kernel.plan(), &mut outcome.stats);
-        }
-    }
-
-    /// Runs a **ranked** query over a view's live set: the `k` live graphs
-    /// with the highest posterior, best first, keyed by stable ids.
-    ///
-    /// Bit-identical — same ids, same posterior bits — to
-    /// [`crate::QueryEngine::search_top_k`] over a freshly built database of
-    /// the survivors (given the same [`OfflineIndex`]), because the live set
-    /// is scanned in canonical order (ascending stable ids: base then delta)
-    /// and both engines rank under the same total order with ascending-id
-    /// tie-breaks. One heap spans both segments, so a strong base candidate
-    /// tightens the bound that prunes delta graphs and vice versa; `γ` and
-    /// [`GbdaConfig::record_posteriors`] play no role, exactly as in the
-    /// static engine.
-    pub(crate) fn search_top_k<V: DynamicView + ?Sized>(
-        &self,
-        view: &V,
-        index: &OfflineIndex,
-        fixed_extended_size: Option<usize>,
-        query: &Graph,
-        k: usize,
-    ) -> DynamicTopKOutcome {
-        let started = Instant::now();
-        let _span = gbd_telemetry::span!("dynamic.search_top_k");
+    /// Runs a ranked query over the view's live set, keyed by stable ids.
+    /// Slots map to ascending stable ids (base, then delta), which is the
+    /// scan order the heap's strict admission bound needs.
+    pub(crate) fn search_top_k(&self, query: &Graph, k: usize) -> DynamicTopKOutcome {
         if k == 0 {
             return DynamicTopKOutcome::default();
         }
-        let flatten_started = Instant::now();
-        let query_branches = BranchMultiset::from_graph(query);
-        let query_flat = view.view_catalog().flatten_lookup(&query_branches);
-        let mut outcome = DynamicTopKOutcome::default();
-        outcome.stats.shards = 1;
-        outcome.stats.flatten_seconds = flatten_started.elapsed().as_secs_f64();
-        // One sink (heap) spans both segments, so the bound tightens across
-        // the segment boundary; both segments compete for the same k slots,
-        // which is why the cutoff's candidate count is the whole live set.
-        let mut sink = TopKSink::new(k);
-        let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-        let candidates = view.view_len();
-        let cap_hint = view.view_max_vertices_hint();
-
-        let scan_started = Instant::now();
-        self.scan_segment_top_k(
-            view.view_base(),
-            view.view_base_tombstones(),
-            view.view_base_ids(),
-            index,
-            fixed_extended_size,
-            cap_hint,
-            query.vertex_count(),
-            &query_flat,
-            k,
-            candidates,
-            &mut sink,
-            &mut outcome.stats,
-            &mut local,
+        let (sink, stats, seconds) = self.run(
+            "dynamic.search_top_k",
+            query,
+            Rank(k),
+            TopKSink::new(k),
+            |_, _, _| {},
         );
-        {
-            let delta = view.view_delta();
-            self.scan_segment_top_k(
-                &delta,
-                view.view_delta_tombstones(),
-                delta.ids(),
-                index,
-                fixed_extended_size,
-                cap_hint,
-                query.vertex_count(),
-                &query_flat,
-                k,
-                candidates,
-                &mut sink,
-                &mut outcome.stats,
-                &mut local,
-            );
-        }
-        outcome.hits = sink.into_sorted_hits();
-        outcome.stats.scan_seconds = scan_started.elapsed().as_secs_f64();
-        outcome.seconds = started.elapsed().as_secs_f64();
-        if !self.config.force_fixed_pipeline {
-            self.planner.observe(&outcome.stats);
-        }
-        crate::obs::record_search(&outcome.stats, outcome.seconds);
-        outcome
-    }
-
-    /// Ranked scan of one segment under its tombstone mask: one
-    /// [`ScanKernel`] instantiation under a [`TighteningRank`] cutoff,
-    /// sharing the sink (and therefore the tightening rank bound) with the
-    /// other segment. The segment is walked in ascending slot order and
-    /// slots map to ascending stable ids, which is what makes the heap's
-    /// strict admission bound sound (see
-    /// [`crate::topk::TopKHeap::threshold`]).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_segment_top_k<S: SegmentIndex>(
-        &self,
-        segment: &S,
-        tombstones: &Tombstones,
-        ids: &[u64],
-        index: &OfflineIndex,
-        fixed_extended_size: Option<usize>,
-        cap_hint: usize,
-        query_size: usize,
-        query_flat: &FlatBranchSet,
-        k: usize,
-        candidates: usize,
-        sink: &mut TopKSink<u64>,
-        stats: &mut SearchStats,
-        local: &mut HashMap<(usize, u64), f64>,
-    ) {
-        let kernel = self.kernel(segment, query_size, query_flat, fixed_extended_size);
-        let cutoff = TighteningRank::prepare(&kernel, k, candidates, |extended_size| {
-            self.rank_decision(index, extended_size, cap_hint.max(extended_size) as u64)
-        });
-        kernel.scan(
-            0..segment.segment_len(),
-            &cutoff,
-            sink,
+        DynamicTopKOutcome {
+            hits: sink.into_sorted_hits(),
+            seconds,
             stats,
-            |i| tombstones.get(i),
-            |i| ids[i],
-            |stats, extended_size, phi| {
-                crate::engine::lookup_posterior_memoized(
-                    &self.cache,
-                    index,
-                    local,
-                    stats,
-                    extended_size,
-                    phi,
-                )
-            },
-        );
-        if !self.config.force_fixed_pipeline && segment.segment_len() > 0 {
-            Planner::book(kernel.plan(), stats);
         }
-    }
-}
-
-/// Samples the GBDA-V1 fixed `|V'1|` for a view's live set, exactly as
-/// [`crate::QueryEngine::new`] samples a static database of the same
-/// graphs; `None` for the other variants.
-pub(crate) fn fixed_extended_size_for<V: DynamicView + ?Sized>(
-    view: &V,
-    config: &GbdaConfig,
-) -> Option<usize> {
-    match config.variant {
-        GbdaVariant::AverageExtendedSize { sample_graphs } => {
-            let live = view.view_live_vertex_counts();
-            Some(crate::engine::average_extended_size(
-                config.seed,
-                sample_graphs,
-                &live,
-            ))
-        }
-        _ => None,
     }
 }
 
 /// The segment-aware query engine over a [`DynamicDatabase`].
 ///
 /// Mirrors [`crate::QueryEngine`] — same variants, same cascade, same
-/// posterior memo — but scans base and delta segments under their tombstone
-/// masks. Given the same [`OfflineIndex`] and configuration, its results are
-/// bit-identical to a `QueryEngine` over a freshly built database of the
-/// live graphs.
+/// posterior memo, the same scan driver — but scans base and delta segments
+/// under their tombstone masks. Given the same [`OfflineIndex`] and
+/// configuration, its results are bit-identical to a `QueryEngine` over a
+/// freshly built database of the live graphs.
 ///
 /// This engine borrows the database, so overlapping queries and mutations
 /// are ruled out at compile time; for snapshot-isolated reads *under*
 /// writes, see [`crate::concurrent::ConcurrentEngine`], which runs the same
-/// scan machinery over published [`crate::concurrent::Generation`]s.
+/// driver over published [`crate::concurrent::Generation`]s.
 pub struct DynamicEngine<'a> {
     dynamic: &'a DynamicDatabase,
     index: &'a OfflineIndex,
@@ -1336,7 +1019,7 @@ pub struct DynamicEngine<'a> {
     /// canonical order — exactly how [`crate::QueryEngine::new`] samples a
     /// static database of the same graphs.
     fixed_extended_size: Option<usize>,
-    state: ScanState,
+    scanner: Scanner,
 }
 
 impl<'a> DynamicEngine<'a> {
@@ -1344,19 +1027,18 @@ impl<'a> DynamicEngine<'a> {
     /// insert, remove or compact, create a new engine (the borrow checker
     /// enforces this: mutation needs `&mut DynamicDatabase`).
     pub fn new(dynamic: &'a DynamicDatabase, index: &'a OfflineIndex, config: GbdaConfig) -> Self {
-        let fixed_extended_size = fixed_extended_size_for(dynamic, &config);
-        gbd_telemetry::escalate_level(config.telemetry);
+        let scanner = Scanner::new(config);
         DynamicEngine {
             dynamic,
             index,
-            fixed_extended_size,
-            state: ScanState::new(config),
+            fixed_extended_size: scanner.fixed_extended_size(|| dynamic.view_live_vertex_counts()),
+            scanner,
         }
     }
 
     /// The configuration this engine runs with.
     pub fn config(&self) -> &GbdaConfig {
-        &self.state.config
+        &self.scanner.config
     }
 
     /// The fixed `|V'1|` of the GBDA-V1 variant, if active.
@@ -1364,15 +1046,23 @@ impl<'a> DynamicEngine<'a> {
         self.fixed_extended_size
     }
 
+    fn scan(&self) -> ViewScan<'_, DynamicDatabase> {
+        ViewScan {
+            scanner: &self.scanner,
+            view: self.dynamic,
+            index: self.index,
+            fixed_extended_size: self.fixed_extended_size,
+        }
+    }
+
     /// Runs Algorithm 1 over the live set: base then delta, each under its
     /// tombstone mask, both through the same filter cascade.
     pub fn search(&self, query: &Graph) -> DynamicOutcome {
-        self.state
-            .search(self.dynamic, self.index, self.fixed_extended_size, query)
+        self.scan().search(query)
     }
 
-    /// Runs Algorithm 1 over the live set, delivering hits to `on_match` as
-    /// the scan (base then delta, ascending stable ids) finds them — the
+    /// Runs Algorithm 1 over the live set, delivering hits to `on_match` in
+    /// scan order (base then delta, ascending stable ids) — the
     /// [`Subscriber`]-sink instantiation of the kernel. Fast-path accepts
     /// arrive with `None`; resolved hits carry `Some(Φ)`. The delivered id
     /// set is exactly [`Self::search`]'s `matches`, in the same order.
@@ -1380,23 +1070,18 @@ impl<'a> DynamicEngine<'a> {
     where
         F: FnMut(u64, Option<f64>),
     {
-        self.state.search_streaming(
-            self.dynamic,
-            self.index,
-            self.fixed_extended_size,
-            query,
-            on_match,
-        )
+        self.scan().search_streaming(query, on_match)
     }
 
     /// Runs a **ranked** query over the live set: the `k` live graphs with
     /// the highest posterior, best first, keyed by stable ids. See
     /// [`crate::QueryEngine::search_top_k`] for the shared ranking rules;
-    /// the dynamic guarantee is bit-identity with a static engine over a
-    /// fresh build of the live set.
+    /// the dynamic guarantee is bit-identity — same ids, same posterior
+    /// bits — with a static engine over a fresh build of the live set,
+    /// because the live set is scanned in canonical order and both engines
+    /// rank under the same total order with ascending-id tie-breaks.
     pub fn search_top_k(&self, query: &Graph, k: usize) -> DynamicTopKOutcome {
-        self.state
-            .search_top_k(self.dynamic, self.index, self.fixed_extended_size, query, k)
+        self.scan().search_top_k(query, k)
     }
 }
 

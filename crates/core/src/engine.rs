@@ -1,16 +1,22 @@
-//! The query execution layer: [`QueryEngine`].
+//! The static view of the scan driver: [`QueryEngine`].
 //!
-//! [`crate::GbdaSearcher`] answers one query with one sequential loop; this
-//! module is the production-shaped engine behind it. One engine instance owns
-//! the per-configuration memo state and offers three execution modes:
+//! The online stage itself — flatten, plan, cutoff, scan, book — is written
+//! once, in the crate-private scan driver (`scan.rs`), which also owns the
+//! posterior memo, the decision tables and the stage planner. A
+//! [`QueryEngine`] is that driver pointed at an immutable
+//! [`GraphDatabase`]: **one unmasked part** whose slots are their own ids,
+//! split over `config.shards` lanes. ([`crate::DynamicEngine`] is the other
+//! view shape: a base part and a delta part in one lane.) It offers
 //!
-//! * [`QueryEngine::search`] — one query, scanned over `config.shards`
-//!   database shards with `std::thread::scope`,
-//! * [`QueryEngine::search_batch`] — many queries, distributed over the
-//!   shards (each worker scans its queries sequentially),
-//! * [`QueryEngine::reference_search`] — the seed-faithful uncached
-//!   sequential scan, kept as the equivalence baseline for tests and
-//!   benchmarks.
+//! * [`QueryEngine::search`] / [`QueryEngine::search_top_k`] /
+//!   [`QueryEngine::search_streaming`] — one query, threshold, ranked or
+//!   streamed, the first two over `config.shards` scoped threads,
+//! * [`QueryEngine::search_batch`] / [`QueryEngine::search_top_k_batch`] —
+//!   many queries, distributed over the shards (each worker scans its
+//!   queries sequentially),
+//! * [`QueryEngine::reference_search`] / [`QueryEngine::top_k_reference`] —
+//!   the seed-faithful sequential scans, kept as the equivalence baselines
+//!   for tests and benchmarks.
 //!
 //! Per pair, the hot path depends on [`GbdaConfig::filter_cascade`]. With
 //! the cascade on (the default), most graphs are resolved by the pruning
@@ -25,127 +31,51 @@
 //! the same [`gbd_prob::posterior_ged_at_most`] on the same inputs, and the
 //! count filter reproduces the merge's intersection exactly.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use gbd_graph::{BranchMultiset, FlatBranchSet, Graph};
 use gbd_prob::posterior_ged_at_most;
 
 use crate::config::{GbdaConfig, GbdaVariant};
 use crate::database::GraphDatabase;
-use crate::filter::planner::{Planner, QueryPlan};
-use crate::filter::{compute_rank_decision, RankDecision, SizeDecision};
+use crate::filter::{RankDecision, SizeDecision};
 use crate::kernel::{
-    run_batch, scan_shards, CollectAll, ScanKernel, StaticPhi, Subscriber, TighteningRank, TopKSink,
+    extended_size, run_batch, scan_shards, CollectAll, Sink, Subscriber, TopKSink,
 };
 use crate::offline::OfflineIndex;
 use crate::posterior_cache::PosteriorCache;
+use crate::scan::{inline, Mode, Rank, Scanner, Spread, Target, Threshold};
 use crate::search::{SearchOutcome, SearchStats};
 use crate::topk::{merge_ranked, rank_by_posterior, RankedHit, TopKOutcome};
 
-/// The GBDA-V1 extended-size sampling: shuffle the graph positions with the
-/// variant's derived seed, take `sample_graphs`, average their vertex
-/// counts. Shared by [`QueryEngine`] and [`crate::DynamicEngine`] — the
-/// dynamic engine's bit-identity contract requires the two to stay in
-/// lock-step, so there is exactly one implementation.
-pub(crate) fn average_extended_size(
-    seed: u64,
-    sample_graphs: usize,
-    vertex_counts: &[usize],
-) -> usize {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA1FA);
-    let mut indices: Vec<usize> = (0..vertex_counts.len()).collect();
-    indices.shuffle(&mut rng);
-    let sample: Vec<usize> = indices.into_iter().take(sample_graphs.max(1)).collect();
-    let avg = sample.iter().map(|&i| vertex_counts[i]).sum::<usize>() as f64 / sample.len() as f64;
-    avg.round().max(1.0) as usize
-}
-
-/// Memoized posterior lookup through a scan's thread-local memo in front of
-/// the shared [`PosteriorCache`], so the steady-state inner loop touches no
-/// lock at all. Shared by [`QueryEngine`] and [`crate::DynamicEngine`] for
-/// the same lock-step reason as [`average_extended_size`].
-pub(crate) fn lookup_posterior_memoized(
-    cache: &PosteriorCache,
-    index: &OfflineIndex,
-    local: &mut HashMap<(usize, u64), f64>,
-    stats: &mut SearchStats,
-    extended_size: usize,
-    phi: u64,
-) -> f64 {
-    let key = (extended_size, phi);
-    match local.get(&key) {
-        Some(&posterior) => {
-            stats.cache_hits += 1;
-            posterior
-        }
-        None => {
-            let (posterior, hit) = cache.posterior_tracked(index, extended_size, phi);
-            local.insert(key, posterior);
-            if hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            posterior
-        }
-    }
-}
-
-/// The GBDA query engine: database + offline index + configuration + memo
-/// state (posterior cache and per-size ϕ thresholds).
+/// The GBDA query engine over an immutable database: database + offline
+/// index + the scan driver (configuration and memo state).
 pub struct QueryEngine<'a> {
     database: &'a GraphDatabase,
     index: &'a OfflineIndex,
-    config: GbdaConfig,
     /// `|V'1|` override used by the GBDA-V1 variant.
     fixed_extended_size: Option<usize>,
-    cache: PosteriorCache,
-    /// Memoized per-extended-size accept/reject regions of the posterior
-    /// (see [`SizeDecision`]); shared by the threshold fast path and the
-    /// filter cascade.
-    decisions: RwLock<HashMap<usize, SizeDecision>>,
-    /// Memoized per-extended-size posterior suffix-maximum tables (see
-    /// [`RankDecision`]) used by ranked (top-k) scans.
-    rank_decisions: RwLock<HashMap<usize, Arc<RankDecision>>>,
-    /// The per-query stage planner, fed every finished search's stats
-    /// (bypassed under [`GbdaConfig::force_fixed_pipeline`]).
-    planner: Planner,
+    scanner: Scanner,
 }
 
 impl<'a> QueryEngine<'a> {
     /// Creates an engine. For the GBDA-V1 variant the average extended size
     /// is sampled here, once, exactly as the paper describes.
     pub fn new(database: &'a GraphDatabase, index: &'a OfflineIndex, config: GbdaConfig) -> Self {
-        let fixed_extended_size = match config.variant {
-            GbdaVariant::AverageExtendedSize { sample_graphs } => {
-                let counts: Vec<usize> = (0..database.len()).map(|i| database.size_of(i)).collect();
-                Some(average_extended_size(config.seed, sample_graphs, &counts))
-            }
-            _ => None,
-        };
-        gbd_telemetry::escalate_level(config.telemetry);
+        let scanner = Scanner::new(config);
         QueryEngine {
             database,
             index,
-            fixed_extended_size,
-            cache: PosteriorCache::new(config.tau_hat),
-            decisions: RwLock::new(HashMap::new()),
-            rank_decisions: RwLock::new(HashMap::new()),
-            planner: Planner::new(),
-            config,
+            fixed_extended_size: scanner
+                .fixed_extended_size(|| (0..database.len()).map(|i| database.size_of(i)).collect()),
+            scanner,
         }
     }
 
     /// The configuration this engine runs with.
     pub fn config(&self) -> &GbdaConfig {
-        &self.config
+        &self.scanner.config
     }
 
     /// The database scanned by this engine.
@@ -165,7 +95,7 @@ impl<'a> QueryEngine<'a> {
 
     /// The shared posterior memo.
     pub fn posterior_cache(&self) -> &PosteriorCache {
-        &self.cache
+        self.scanner.cache()
     }
 
     /// The branch distance fed into the model for one pair, honouring the
@@ -175,7 +105,7 @@ impl<'a> QueryEngine<'a> {
     /// This diagnostic path merges the stored multisets directly; scans use
     /// the flat interned runs via one per-query flatten instead.
     pub fn observed_phi(&self, query: &BranchMultiset, graph_index: usize) -> u64 {
-        match self.config.variant {
+        match self.config().variant {
             GbdaVariant::WeightedGbd { weight } => {
                 let value = query.weighted_gbd(self.database.branches(graph_index), weight);
                 value.round().max(0.0) as u64
@@ -185,7 +115,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     fn observed_phi_flat(&self, query: &FlatBranchSet, graph_index: usize) -> u64 {
-        match self.config.variant {
+        match self.config().variant {
             GbdaVariant::WeightedGbd { weight } => {
                 let value = query
                     .as_view()
@@ -198,22 +128,23 @@ impl<'a> QueryEngine<'a> {
 
     /// The extended size `|V'1|` used for one pair, honouring GBDA-V1.
     fn extended_size(&self, query: &Graph, graph_index: usize) -> usize {
-        self.extended_size_for(query.vertex_count(), self.database.size_of(graph_index))
-    }
-
-    /// [`Self::extended_size`] over raw vertex counts — the scan-side form
-    /// that reads the database's flat size array instead of a `Graph`.
-    fn extended_size_for(&self, query_size: usize, graph_size: usize) -> usize {
-        match self.fixed_extended_size {
-            Some(v) => v,
-            None => query_size.max(graph_size).max(1),
-        }
+        let graph_size = self.database.size_of(graph_index);
+        extended_size(self.fixed_extended_size, query.vertex_count(), graph_size)
     }
 
     /// The memoized posterior `Φ = Pr[GED ≤ τ̂ | GBD = ϕ]` for one
     /// `(|V'1|, ϕ)` key.
     pub fn posterior_value(&self, extended_size: usize, phi: u64) -> f64 {
-        self.cache.posterior(self.index, extended_size, phi)
+        self.scanner
+            .cache()
+            .posterior(self.index, extended_size, phi)
+    }
+
+    /// The posterior `Φ = Pr[GED(Q, G_i) ≤ τ̂ | GBD]` for one database graph
+    /// — what [`Self::search`] records for it, resolved on its own.
+    pub fn posterior_of(&self, query: &Graph, graph_index: usize) -> f64 {
+        let phi = self.observed_phi(&BranchMultiset::from_graph(query), graph_index);
+        self.posterior_value(self.extended_size(query, graph_index), phi)
     }
 
     /// The accept/reject regions of the posterior for one extended size,
@@ -226,19 +157,8 @@ impl<'a> QueryEngine<'a> {
     /// back to a memoized posterior compare, so the regions cannot change
     /// any result.
     pub fn size_decision(&self, extended_size: usize) -> SizeDecision {
-        if let Some(&decision) = self.decisions.read().get(&extended_size) {
-            return decision;
-        }
-        let cap = self.database.max_vertices().max(extended_size) as u64;
-        let decision = crate::filter::compute_size_decision(
-            &self.cache,
-            self.index,
-            self.config.gamma,
-            extended_size,
-            cap,
-        );
-        self.decisions.write().insert(extended_size, decision);
-        decision
+        self.scanner
+            .size_decision(self.index, extended_size, self.database.max_vertices())
     }
 
     /// The largest ϕ of the contiguous prefix `{0, 1, …}` whose posteriors
@@ -255,28 +175,14 @@ impl<'a> QueryEngine<'a> {
     /// graph's ϕ lower bound against this table under the running k-th-best
     /// posterior to reject graphs without resolving them.
     pub fn rank_decision(&self, extended_size: usize) -> Arc<RankDecision> {
-        if let Some(decision) = self.rank_decisions.read().get(&extended_size) {
-            return Arc::clone(decision);
-        }
-        let cap = self.database.max_vertices().max(extended_size) as u64;
-        let decision = Arc::new(compute_rank_decision(
-            &self.cache,
-            self.index,
-            extended_size,
-            cap,
-        ));
-        Arc::clone(
-            self.rank_decisions
-                .write()
-                .entry(extended_size)
-                .or_insert(decision),
-        )
+        self.scanner
+            .rank_decision(self.index, extended_size, self.database.max_vertices())
     }
 
     /// Runs Algorithm 1 for one query graph over `config.shards` database
     /// shards.
     pub fn search(&self, query: &Graph) -> SearchOutcome {
-        self.search_with_shards(query, self.config.shards)
+        self.search_with_shards(query, self.config().shards)
     }
 
     /// Runs a batch of queries over `config.shards` worker threads. One
@@ -299,13 +205,26 @@ impl<'a> QueryEngine<'a> {
     /// (`gbda_query_seconds` & co, see the `gbd-telemetry` crate) before
     /// its stats are absorbed, so the distribution survives there.
     pub fn search_batch_with_stats(&self, queries: &[Graph]) -> (Vec<SearchOutcome>, SearchStats) {
-        let (outcomes, batch_workers) =
-            run_batch(self.config.shards.max(1), queries, |query, shards| {
-                self.search_with_shards(query, shards)
-            });
+        self.batch(
+            queries,
+            |query, shards| self.search_with_shards(query, shards),
+            |outcome| &outcome.stats,
+        )
+    }
+
+    /// The work-stealing batch scaffold shared by the threshold and ranked
+    /// batches: runs `per_query` over `config.shards` workers and absorbs
+    /// the per-query stats.
+    fn batch<T: Send>(
+        &self,
+        queries: &[Graph],
+        per_query: impl Fn(&Graph, usize) -> T + Sync,
+        stats_of: impl Fn(&T) -> &SearchStats,
+    ) -> (Vec<T>, SearchStats) {
+        let (outcomes, batch_workers) = run_batch(self.config().shards.max(1), queries, per_query);
         let mut stats = SearchStats::default();
         for outcome in &outcomes {
-            stats.absorb(&outcome.stats);
+            stats.absorb(stats_of(outcome));
         }
         // Work-stealing workers scan each query unsharded (shards = 1 in
         // every outcome), so report the batch's actual worker count instead.
@@ -315,108 +234,53 @@ impl<'a> QueryEngine<'a> {
         (outcomes, stats)
     }
 
-    /// The GBDA-V2 weight, `None` for the other variants.
-    fn weight(&self) -> Option<f64> {
-        match self.config.variant {
-            GbdaVariant::WeightedGbd { weight } => Some(weight),
-            _ => None,
-        }
+    /// One driver run over the database as a single unmasked part whose
+    /// slots are their own ids, one lane per sink.
+    fn scan<M: Mode, K: Sink<usize>>(
+        &self,
+        span: &'static str,
+        query: &Graph,
+        mode: M,
+        sinks: Vec<K>,
+        spread: Spread<K>,
+    ) -> (Vec<K>, SearchStats, f64) {
+        let target = Target {
+            span,
+            index: self.index,
+            fixed_extended_size: self.fixed_extended_size,
+            max_vertices: self.database.max_vertices(),
+            candidates: self.database.len(),
+        };
+        let flatten = |branches: &BranchMultiset| self.database.catalog().flatten_lookup(branches);
+        self.scanner
+            .run(target, query, flatten, mode, sinks, |run| {
+                run.part(self.database, |_| false, |slot| slot, spread)
+            })
     }
 
-    /// Builds the [`ScanKernel`] for one flattened query over the database —
-    /// the per-query state every shard of a scan shares. The kernel carries
-    /// the stage schedule the planner chose for this query (or the fixed
-    /// pipeline under [`GbdaConfig::force_fixed_pipeline`]).
-    fn kernel<'q>(
-        &'q self,
-        query_size: usize,
-        query_flat: &'q FlatBranchSet,
-    ) -> ScanKernel<'q, GraphDatabase> {
-        let plan = if self.config.force_fixed_pipeline {
-            QueryPlan::fixed()
-        } else {
-            self.planner.plan_for(self.database, query_flat)
-        };
-        ScanKernel::new(
-            self.database,
-            query_flat,
-            query_size,
-            self.fixed_extended_size,
-            self.weight(),
-            self.config.filter_cascade,
-        )
-        .with_plan(plan)
+    /// One sink per lane: `shards` clamped to `[1, max(|D|, 1)]`.
+    fn sinks<K>(&self, shards: usize, sink: impl Fn() -> K) -> Vec<K> {
+        let lanes = shards.max(1).min(self.database.len().max(1));
+        (0..lanes).map(|_| sink()).collect()
     }
 
     fn search_with_shards(&self, query: &Graph, shards: usize) -> SearchOutcome {
-        let _span = gbd_telemetry::Span::enter("engine.search");
-        let started = Instant::now();
-        let flatten_started = Instant::now();
-        let query_branches = BranchMultiset::from_graph(query);
-        let query_flat = self.database.catalog().flatten_lookup(&query_branches);
-        let kernel = self.kernel(query.vertex_count(), &query_flat);
-        let cutoff = StaticPhi::prepare(
-            &kernel,
-            self.config.gamma,
-            self.config.record_posteriors,
-            |extended_size| self.size_decision(extended_size),
-        );
-        let flatten_seconds = flatten_started.elapsed().as_secs_f64();
-
-        let n = self.database.len();
-        let shards = shards.max(1).min(n.max(1));
-        let record = self.config.record_posteriors;
-
-        let scan_started = Instant::now();
-        let results = scan_shards(n, shards, |range| {
-            let mut sink = CollectAll::new(record);
-            let mut stats = SearchStats::default();
-            let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-            kernel.scan(
-                range,
-                &cutoff,
-                &mut sink,
-                &mut stats,
-                |_| false,
-                |i| i,
-                |stats, extended_size, phi| {
-                    lookup_posterior_memoized(
-                        &self.cache,
-                        self.index,
-                        &mut local,
-                        stats,
-                        extended_size,
-                        phi,
-                    )
-                },
-            );
-            (sink, stats)
-        });
-        // Shards cover contiguous index ranges in order, so concatenating
+        let record = self.config().record_posteriors;
+        let sinks = self.sinks(shards, || CollectAll::new(record));
+        let (sinks, stats, seconds) =
+            self.scan("engine.search", query, Threshold, sinks, scan_shards);
+        // Lanes cover contiguous index ranges in order, so concatenating
         // preserves the database ordering of matches and posteriors.
-        let mut matches = Vec::new();
-        let mut posteriors = Vec::new();
-        let mut totals = SearchStats::default();
-        for (sink, stats) in results {
+        let (mut matches, mut posteriors) = (Vec::new(), Vec::new());
+        for sink in sinks {
             matches.extend(sink.matches);
             posteriors.extend(sink.posteriors);
-            totals.absorb(&stats);
         }
-        totals.shards = shards;
-        totals.flatten_seconds = flatten_seconds;
-        totals.scan_seconds = scan_started.elapsed().as_secs_f64();
-        if !self.config.force_fixed_pipeline {
-            Planner::book(kernel.plan(), &mut totals);
-            self.planner.observe(&totals);
-        }
-        let seconds = started.elapsed().as_secs_f64();
-        crate::obs::record_search(&totals, seconds);
-
         SearchOutcome {
             matches,
             posteriors,
             seconds,
-            stats: totals,
+            stats,
         }
     }
 
@@ -431,47 +295,9 @@ impl<'a> QueryEngine<'a> {
     where
         F: FnMut(usize, Option<f64>),
     {
-        let _span = gbd_telemetry::Span::enter("engine.search_streaming");
-        let started = Instant::now();
-        let query_branches = BranchMultiset::from_graph(query);
-        let query_flat = self.database.catalog().flatten_lookup(&query_branches);
-        let kernel = self.kernel(query.vertex_count(), &query_flat);
-        let cutoff = StaticPhi::prepare(
-            &kernel,
-            self.config.gamma,
-            self.config.record_posteriors,
-            |extended_size| self.size_decision(extended_size),
-        );
-        let mut sink = Subscriber::new(on_match);
-        let mut stats = SearchStats {
-            shards: 1,
-            ..SearchStats::default()
-        };
-        let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-        kernel.scan(
-            0..self.database.len(),
-            &cutoff,
-            &mut sink,
-            &mut stats,
-            |_| false,
-            |i| i,
-            |stats, extended_size, phi| {
-                lookup_posterior_memoized(
-                    &self.cache,
-                    self.index,
-                    &mut local,
-                    stats,
-                    extended_size,
-                    phi,
-                )
-            },
-        );
-        if !self.config.force_fixed_pipeline {
-            Planner::book(kernel.plan(), &mut stats);
-            self.planner.observe(&stats);
-        }
-        crate::obs::record_search(&stats, started.elapsed().as_secs_f64());
-        stats
+        let sinks = vec![Subscriber::new(on_match)];
+        self.scan("engine.search_streaming", query, Threshold, sinks, inline)
+            .1
     }
 
     /// Runs a **ranked** query: the `k` database graphs with the highest
@@ -518,7 +344,7 @@ impl<'a> QueryEngine<'a> {
     /// assert!(top.hits[0].posterior >= top.hits[4].posterior); // best first
     /// ```
     pub fn search_top_k(&self, query: &Graph, k: usize) -> TopKOutcome {
-        self.search_top_k_with_shards(query, k, self.config.shards)
+        self.search_top_k_with_shards(query, k, self.config().shards)
     }
 
     /// Runs a batch of ranked queries over `config.shards` worker threads
@@ -536,89 +362,24 @@ impl<'a> QueryEngine<'a> {
         queries: &[Graph],
         k: usize,
     ) -> (Vec<TopKOutcome>, SearchStats) {
-        let (outcomes, batch_workers) =
-            run_batch(self.config.shards.max(1), queries, |query, shards| {
-                self.search_top_k_with_shards(query, k, shards)
-            });
-        let mut stats = SearchStats::default();
-        for outcome in &outcomes {
-            stats.absorb(&outcome.stats);
-        }
-        if let Some(workers) = batch_workers {
-            stats.shards = workers;
-        }
-        (outcomes, stats)
+        self.batch(
+            queries,
+            |query, shards| self.search_top_k_with_shards(query, k, shards),
+            |outcome| &outcome.stats,
+        )
     }
 
     fn search_top_k_with_shards(&self, query: &Graph, k: usize, shards: usize) -> TopKOutcome {
-        let _span = gbd_telemetry::Span::enter("engine.search_top_k");
-        let started = Instant::now();
         if k == 0 {
             return TopKOutcome::default();
         }
-        let flatten_started = Instant::now();
-        let query_branches = BranchMultiset::from_graph(query);
-        let query_flat = self.database.catalog().flatten_lookup(&query_branches);
-        let kernel = self.kernel(query.vertex_count(), &query_flat);
-        // With `k ≥ |D|` no heap can ever fill, so no bound will ever be
-        // consulted and the tables are not built at all.
-        let cutoff = TighteningRank::prepare(&kernel, k, self.database.len(), |extended_size| {
-            self.rank_decision(extended_size)
-        });
-        let flatten_seconds = flatten_started.elapsed().as_secs_f64();
-
-        let n = self.database.len();
-        let shards = shards.max(1).min(n.max(1));
-        let scan_started = Instant::now();
-        // Each shard walks its range in ascending index order with a local
-        // bounded heap — the heap's strict admission bound is only sound
-        // because a later candidate always loses posterior ties against
-        // earlier (smaller-index) kept hits.
-        let results = scan_shards(n, shards, |range| {
-            let mut sink = TopKSink::new(k);
-            let mut stats = SearchStats::default();
-            let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-            kernel.scan(
-                range,
-                &cutoff,
-                &mut sink,
-                &mut stats,
-                |_| false,
-                |i| i,
-                |stats, extended_size, phi| {
-                    lookup_posterior_memoized(
-                        &self.cache,
-                        self.index,
-                        &mut local,
-                        stats,
-                        extended_size,
-                        phi,
-                    )
-                },
-            );
-            (sink.into_sorted_hits(), stats)
-        });
-        let mut totals = SearchStats::default();
-        let mut shard_hits = Vec::with_capacity(results.len());
-        for (hits, stats) in results {
-            shard_hits.push(hits);
-            totals.absorb(&stats);
-        }
-        let hits = merge_ranked(shard_hits, k);
-        totals.shards = shards;
-        totals.flatten_seconds = flatten_seconds;
-        totals.scan_seconds = scan_started.elapsed().as_secs_f64();
-        if !self.config.force_fixed_pipeline {
-            Planner::book(kernel.plan(), &mut totals);
-            self.planner.observe(&totals);
-        }
-        let seconds = started.elapsed().as_secs_f64();
-        crate::obs::record_search(&totals, seconds);
-
+        let sinks = self.sinks(shards, || TopKSink::new(k));
+        let (sinks, stats, seconds) =
+            self.scan("engine.search_top_k", query, Rank(k), sinks, scan_shards);
         TopKOutcome {
-            hits,
+            hits: merge_ranked(sinks.into_iter().map(TopKSink::into_sorted_hits), k),
             seconds,
-            stats: totals,
+            stats,
         }
     }
 
@@ -631,21 +392,10 @@ impl<'a> QueryEngine<'a> {
     pub fn top_k_reference(&self, query: &Graph, k: usize) -> Vec<RankedHit> {
         let query_branches = BranchMultiset::from_graph(query);
         let query_flat = self.database.catalog().flatten_lookup(&query_branches);
-        let query_size = query.vertex_count();
-        let mut local: HashMap<(usize, u64), f64> = HashMap::new();
-        let mut stats = SearchStats::default();
         let posteriors: Vec<f64> = (0..self.database.len())
             .map(|i| {
                 let phi = self.observed_phi_flat(&query_flat, i);
-                let extended_size = self.extended_size_for(query_size, self.database.size_of(i));
-                lookup_posterior_memoized(
-                    &self.cache,
-                    self.index,
-                    &mut local,
-                    &mut stats,
-                    extended_size,
-                    phi,
-                )
+                self.posterior_value(self.extended_size(query, i), phi)
             })
             .collect();
         rank_by_posterior(&posteriors, k)
@@ -657,25 +407,20 @@ impl<'a> QueryEngine<'a> {
     /// the `online_syn` benchmark.
     pub fn reference_search(&self, query: &Graph) -> SearchOutcome {
         let started = Instant::now();
+        let config = self.config();
         let query_branches = BranchMultiset::from_graph(query);
         let mut matches = Vec::new();
         let mut posteriors = Vec::with_capacity(self.database.len());
         for i in 0..self.database.len() {
-            let phi = match self.config.variant {
-                GbdaVariant::WeightedGbd { weight } => {
-                    let value = query_branches.weighted_gbd(self.database.branches(i), weight);
-                    value.round().max(0.0) as u64
-                }
-                _ => self.database.gbd_to(&query_branches, i) as u64,
-            };
+            let phi = self.observed_phi(&query_branches, i);
             let extended_size = self.extended_size(query, i);
             let lambda1 = self.index.lambda1_table(extended_size);
             let ged_prior = self.index.ged_prior().column(extended_size);
             let gbd_prior = self.index.gbd_prior().probability(phi as usize);
             let posterior =
-                posterior_ged_at_most(self.config.tau_hat, phi, &lambda1, &ged_prior, gbd_prior);
+                posterior_ged_at_most(config.tau_hat, phi, &lambda1, &ged_prior, gbd_prior);
             posteriors.push(posterior);
-            if posterior >= self.config.gamma {
+            if posterior >= config.gamma {
                 matches.push(i);
             }
         }
@@ -699,6 +444,8 @@ mod tests {
     use super::*;
     use gbd_graph::known_ged::ModificationMode;
     use gbd_graph::{GeneratorConfig, KnownGedConfig, KnownGedFamily, LabelAlphabets};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn family_setup(tau_hat: u64) -> (KnownGedFamily, GraphDatabase, GbdaConfig) {
         let mut rng = StdRng::seed_from_u64(40);

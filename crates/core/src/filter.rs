@@ -149,8 +149,8 @@ impl SegmentIndex for GraphDatabase {
 /// Computes the accept/reject regions of the memoized posterior for one
 /// extended size: the largest contiguous accepting prefix `{0, …}` whose
 /// posteriors all clear `gamma` and the largest contiguous rejecting suffix
-/// (up to `cap`) whose posteriors all miss it. Shared by
-/// [`crate::QueryEngine`] and the dynamic engine so both resolve graphs from
+/// (up to `cap`) whose posteriors all miss it. Memoized by the scan driver
+/// every engine runs on, so static and dynamic scans resolve graphs from
 /// the *same* regions.
 ///
 /// `cap` only bounds how far the regions extend — a ϕ beyond it always falls
@@ -190,9 +190,9 @@ pub fn compute_size_decision(
 
 /// Computes the ranked-query counterpart of [`compute_size_decision`]: the
 /// suffix-maximum table of the memoized posterior for one extended size,
-/// `suffix_max[ϕ] = max{Φ(ϕ') : ϕ ≤ ϕ' ≤ cap}`. Shared by
-/// [`crate::QueryEngine`] and [`crate::DynamicEngine`] so both prune ranked
-/// scans from the *same* table.
+/// `suffix_max[ϕ] = max{Φ(ϕ') : ϕ ≤ ϕ' ≤ cap}`. Memoized by the scan driver
+/// every engine runs on, so static and dynamic ranked scans prune from the
+/// *same* table.
 ///
 /// Unlike a [`SizeDecision`], which is fixed by `γ`, a [`RankDecision`]
 /// accepts the bound at *query time* ([`RankDecision::rejects_from`],

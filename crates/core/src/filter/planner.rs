@@ -107,9 +107,9 @@ struct Profile {
     stage2_decided: usize,
 }
 
-/// The stats-driven per-query stage planner. One lives in each engine; it
-/// is fed every finished search ([`Planner::observe`]) and consulted before
-/// every segment scan ([`Planner::plan_for`]).
+/// The stats-driven per-query stage planner. One lives in each engine's scan
+/// driver; it is fed every finished search ([`Planner::observe`]) and
+/// consulted before every segment scan ([`Planner::plan_for`]).
 #[derive(Debug, Default)]
 pub struct Planner {
     profile: Mutex<Profile>,

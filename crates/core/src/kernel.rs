@@ -5,36 +5,52 @@
 //! ϕ and the memoized posterior `Φ = Pr[GED ≤ τ̂ | GBD = ϕ]`, and deliver
 //! survivors — under either a *static* probability threshold γ (Algorithm 1)
 //! or a *tightening* top-k rank bound. [`ScanKernel::scan`] implements that
-//! loop exactly once; every public search API is a thin instantiation of it
-//! over a cutoff policy ([`Cutoff`]), a result sink ([`Sink`]) and a segment
-//! ([`SegmentIndex`]).
+//! loop exactly once, over a cutoff policy ([`Cutoff`]), a result sink
+//! ([`Sink`]) and a segment ([`SegmentIndex`]) — and exactly one piece of
+//! code calls it: the crate-private scan driver (`scan.rs`), which also
+//! owns the posterior memo, the decision tables and the stage planner.
 //!
-//! # The Cutoff × Sink × SegmentIndex matrix
+//! # One driver, two view shapes
 //!
-//! | public API | cutoff | sink | segment(s) |
+//! A run of the driver flattens the query, then for each **part** of the
+//! view (a segment, a tombstone mask, a slot → id map) asks the planner for
+//! a schedule, builds the kernel, prepares the cutoff of the run's **mode**
+//! and scans the part's slots into the run's **lanes** (one sink, one stats
+//! block and one local posterior memo each); it then books the plans, feeds
+//! the planner and flushes the telemetry. The modes fix the cutoff and the
+//! sinks that make sense with it:
+//!
+//! | mode | cutoff | sinks | public API |
 //! |---|---|---|---|
-//! | [`QueryEngine::search`] / `search_batch` | [`StaticPhi`] | [`CollectAll`] | [`GraphDatabase`] |
-//! | [`QueryEngine::search_top_k`] / `search_top_k_batch` | [`TighteningRank`] | [`TopKSink`] | [`GraphDatabase`] |
-//! | [`QueryEngine::search_streaming`] | [`StaticPhi`] | [`Subscriber`] | [`GraphDatabase`] |
-//! | [`DynamicEngine::search`] | [`StaticPhi`] | [`CollectAll`] | base + delta under tombstone masks |
-//! | [`DynamicEngine::search_top_k`] | [`TighteningRank`] | [`TopKSink`] | base + delta (one shared heap) |
-//! | [`DynamicEngine::search_streaming`] | [`StaticPhi`] | [`Subscriber`] | base + delta |
+//! | threshold γ | [`StaticPhi`] | [`CollectAll`] | `search`, `search_batch`, `search_pinned` |
+//! | threshold γ | [`StaticPhi`] | [`Subscriber`] | `search_streaming`, `search_streaming_pinned` |
+//! | rank k | [`TighteningRank`] | [`TopKSink`] | `search_top_k`, `search_top_k_batch`, `search_top_k_pinned` |
 //!
-//! Not every cell of the matrix is meaningful: a ranked scan needs resolved
-//! posteriors for every candidate it keeps, so [`TighteningRank`] never
-//! *accepts* a graph early — pairing [`TopKSink`] with a cutoff that does
-//! ([`StaticPhi`] with a non-empty accept region) violates the sink contract
-//! and panics. Every other pairing composes freely.
+//! and the engines are the two shapes a view can take:
 //!
-//! # Shard drivers
+//! | view shape | engines | parts | lanes |
+//! |---|---|---|---|
+//! | static | [`QueryEngine`] | the [`GraphDatabase`]: unmasked, slots are ids | `config.shards` contiguous ranges on scoped threads ([`scan_shards`]); sinks concatenated or [`merge_ranked`](crate::topk::merge_ranked); streaming uses one |
+//! | dynamic | [`DynamicEngine`], [`SnapshotReader`](crate::SnapshotReader) / [`ConcurrentEngine`](crate::ConcurrentEngine) | base segment, then the [`DeltaPrefix`](crate::DeltaPrefix) under the log's read guard; both under tombstone masks, keyed by stable ids | one, so one sink — one heap, one tightening bound — spans both parts |
 //!
-//! The two parallel execution scaffolds also live here so the threshold,
-//! ranked and batch paths share them: [`scan_shards`] (contiguous
-//! range-sharded scans, order-preserving) and [`run_batch`] (the
-//! work-stealing per-query cursor). Per-shard ranked results are merged with
-//! [`crate::topk::merge_ranked`]; the canonical tie-break total order for
-//! *all* ranked results is defined once, by [`crate::topk::rank_order`]
-//! (posterior descending via `f64::total_cmp`, then graph id ascending).
+//! A static database is the dynamic shape with an empty log and no
+//! tombstones; the two engines then agree on every answer and every
+//! [`SearchStats`] counter (`tests/kernel.rs`).
+//!
+//! A ranked scan needs resolved posteriors for every candidate it keeps, so
+//! [`TighteningRank`] never *accepts* a graph early — pairing [`TopKSink`]
+//! with a cutoff that does ([`StaticPhi`] with a non-empty accept region)
+//! violates the sink contract and panics. Every other pairing composes
+//! freely.
+//!
+//! # Parallel scaffolds
+//!
+//! The two parallel execution scaffolds also live here: [`scan_shards`]
+//! (contiguous ranges of one part spread over a run's lanes,
+//! order-preserving) and [`run_batch`] (the work-stealing per-query
+//! cursor). The canonical tie-break total order for *all* ranked results is
+//! defined once, by [`crate::topk::rank_order`] (posterior descending via
+//! `f64::total_cmp`, then graph id ascending).
 //!
 //! # The chunked bound sweep
 //!
@@ -48,7 +64,7 @@
 //! through resumable [`PostingsCursors`], either eagerly per chunk
 //! (postings-first) or only for chunks the bounds left undecided
 //! (bound-first) — the per-query [`planner`](crate::filter::planner) picks,
-//! and [`ScanKernel::with_plan`] applies, the schedule. Accepts and exact
+//! and [`ScanKernel::new`] takes, the schedule. Accepts and exact
 //! resolutions are then delivered in ascending index order; under a
 //! tightening rank bound each undecided graph is re-tested against the
 //! *freshest* bound before resolving (plans are recompiled when the bound
@@ -78,12 +94,8 @@
 //!
 //! [`GraphAggregate`]: crate::database::GraphAggregate
 //! [`PostingsCursors`]: crate::filter::PostingsCursors
-//! [`QueryEngine::search`]: crate::QueryEngine::search
-//! [`QueryEngine::search_top_k`]: crate::QueryEngine::search_top_k
-//! [`QueryEngine::search_streaming`]: crate::QueryEngine::search_streaming
-//! [`DynamicEngine::search`]: crate::DynamicEngine::search
-//! [`DynamicEngine::search_top_k`]: crate::DynamicEngine::search_top_k
-//! [`DynamicEngine::search_streaming`]: crate::DynamicEngine::search_streaming
+//! [`QueryEngine`]: crate::QueryEngine
+//! [`DynamicEngine`]: crate::DynamicEngine
 //! [`GraphDatabase`]: crate::GraphDatabase
 
 use std::ops::Range;
@@ -587,6 +599,12 @@ impl<I: Copy, F: FnMut(I, Option<f64>)> Sink<I> for Subscriber<F> {
     }
 }
 
+/// The extended size `|V'1|` of one (query, graph) pair: the larger vertex
+/// count, or GBDA-V1's fixed size when the variant is active.
+pub(crate) fn extended_size(fixed: Option<usize>, query_size: usize, graph_size: usize) -> usize {
+    fixed.unwrap_or_else(|| query_size.max(graph_size).max(1))
+}
+
 /// Per-query scan state over one segment: the flattened query, the filter
 /// cascade (when enabled) and the extended-size rule. Built once per
 /// (query, segment) pair and shared by every shard scanning that segment.
@@ -606,7 +624,9 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
     /// must be flattened against the segment's catalog (or an extension of
     /// it); `fixed_extended_size` is `Some` under GBDA-V1, `weight` under
     /// GBDA-V2; `use_cascade` mirrors
-    /// [`GbdaConfig::filter_cascade`](crate::GbdaConfig).
+    /// [`GbdaConfig::filter_cascade`](crate::GbdaConfig). `plan` is the stage
+    /// schedule — the planner's choice or [`QueryPlan::fixed`]; any plan
+    /// yields bit-identical results, only the work schedule changes.
     pub fn new(
         segment: &'q S,
         query_flat: &'q FlatBranchSet,
@@ -614,6 +634,7 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
         fixed_extended_size: Option<usize>,
         weight: Option<f64>,
         use_cascade: bool,
+        plan: QueryPlan,
     ) -> Self {
         let cascade = use_cascade.then(|| FilterCascade::new(segment, query_flat, weight));
         ScanKernel {
@@ -623,35 +644,13 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
             query_size,
             fixed_extended_size,
             weight,
-            plan: QueryPlan::fixed(),
+            plan,
         }
     }
 
-    /// Applies a planner-chosen stage schedule. The default is the fixed
-    /// pipeline ([`QueryPlan::fixed`]); any plan yields bit-identical
-    /// results, only the work schedule changes.
-    pub fn with_plan(mut self, plan: QueryPlan) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// The stage schedule this kernel scans under.
-    pub fn plan(&self) -> QueryPlan {
-        self.plan
-    }
-
-    /// The segment this kernel scans.
-    pub fn segment(&self) -> &'q S {
-        self.segment
-    }
-
-    /// The extended size `|V'1|` for a graph of `graph_size` vertices,
-    /// honouring GBDA-V1's fixed size.
+    /// The extended size `|V'1|` for a graph of `graph_size` vertices.
     pub fn extended_size_for(&self, graph_size: usize) -> usize {
-        match self.fixed_extended_size {
-            Some(v) => v,
-            None => self.query_size.max(graph_size).max(1),
-        }
+        extended_size(self.fixed_extended_size, self.query_size, graph_size)
     }
 
     /// The scan loop. Drives `range` through the cascade stages under
@@ -966,34 +965,26 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
     }
 }
 
-/// Runs `scan` over `shards` contiguous ranges of `0..n` on scoped threads,
-/// returning the per-shard results in range order (shard 0's range precedes
-/// shard 1's, so concatenation preserves ascending scan order). `shards` is
-/// clamped to `[1, max(n, 1)]`; a single effective shard runs inline.
-pub fn scan_shards<T: Send>(
+/// Runs `scan` over `lanes.len()` contiguous ranges of `0..n` on scoped
+/// threads, lane `j` taking the `j`-th range (lane 0's range precedes lane
+/// 1's, so concatenating per-lane results preserves ascending scan order).
+/// A single lane runs inline. Callers clamp the lane count to
+/// `[1, max(n, 1)]`.
+pub fn scan_shards<L: Send>(
     n: usize,
-    shards: usize,
-    scan: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let shards = shards.max(1).min(n.max(1));
-    if shards <= 1 {
-        return vec![scan(0..n)];
+    lanes: &mut [L],
+    scan: &(dyn Fn(Range<usize>, &mut L) + Sync),
+) {
+    if let [lane] = lanes {
+        return scan(0..n, lane);
     }
-    let chunk = n.div_ceil(shards);
-    let mut results = Vec::with_capacity(shards);
+    let chunk = n.div_ceil(lanes.len().max(1));
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|s| {
-                let range = (s * chunk)..n.min((s + 1) * chunk);
-                let scan = &scan;
-                scope.spawn(move || scan(range))
-            })
-            .collect();
-        for handle in handles {
-            results.push(handle.join().expect("scan shard panicked"));
+        for (s, lane) in lanes.iter_mut().enumerate() {
+            let range = n.min(s * chunk)..n.min((s + 1) * chunk);
+            scope.spawn(move || scan(range, lane));
         }
     });
-    results
 }
 
 /// Runs `per_item` over every item on a work-stealing pool of up to

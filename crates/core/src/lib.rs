@@ -9,17 +9,18 @@
 //! * [`database`] — the graph database with pre-computed branch multisets
 //!   plus the arena-backed flat interned branch sets,
 //! * [`offline`] — the offline stage (GBD prior, GED prior, Λ1 table cache),
-//! * [`search`] — the online stage (Algorithm 1) plus the GBDA-V1/V2
-//!   variants,
-//! * [`engine`] — the execution layer: [`QueryEngine`] with batch queries,
-//!   shard-parallel scans and per-stage statistics,
+//! * [`search`] — what the online stage (Algorithm 1) returns: outcomes
+//!   and per-stage statistics,
+//! * [`engine`] — [`QueryEngine`], the online stage over an immutable
+//!   database: batch queries, shard-parallel scans, ranked and streaming
+//!   search (and the GBDA-V1/V2 variants),
 //! * [`filter`] — the candidate-pruning layer: the lower-bound filter
 //!   cascade and inverted-index count filter that resolve most graphs
 //!   without merging their branch runs,
-//! * [`kernel`] — the one generic scan loop ([`ScanKernel`]) every search
-//!   path instantiates, parameterized by a cutoff policy (static γ vs.
-//!   tightening rank bound) and a result sink (collect / top-k heap /
-//!   streaming callback),
+//! * [`kernel`] — the one generic scan loop ([`ScanKernel`]), parameterized
+//!   by a cutoff policy (static γ vs. tightening rank bound) and a result
+//!   sink (collect / top-k heap / streaming callback); one crate-private
+//!   driver runs it for every engine,
 //! * [`dynamic`] — the dynamic storage layer: [`DynamicDatabase`] (immutable
 //!   base segment + append-only delta + tombstones + compaction) and the
 //!   segment-aware [`DynamicEngine`],
@@ -41,7 +42,7 @@
 //!
 //! ```
 //! use gbd_graph::GeneratorConfig;
-//! use gbda_core::{GbdaConfig, GbdaSearcher, GraphDatabase, OfflineIndex};
+//! use gbda_core::{GbdaConfig, GraphDatabase, OfflineIndex, QueryEngine};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -50,8 +51,8 @@
 //! let database = GraphDatabase::from_graphs(graphs);
 //! let config = GbdaConfig::new(3, 0.8).with_sample_pairs(200);
 //! let index = OfflineIndex::build(&database, &config).unwrap();
-//! let searcher = GbdaSearcher::new(&database, &index, config);
-//! let outcome = searcher.search(&query);
+//! let engine = QueryEngine::new(&database, &index, config);
+//! let outcome = engine.search(&query);
 //! assert!(outcome.matches.contains(&0)); // the query itself is similar
 //! ```
 
@@ -72,15 +73,9 @@ pub mod kernel;
 mod obs;
 pub mod offline;
 pub mod posterior_cache;
+mod scan;
 pub mod search;
 pub mod topk;
-
-/// The old name of [`effectiveness`], kept for one release.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to `effectiveness`; runtime telemetry lives in the `gbd-telemetry` crate"
-)]
-pub use effectiveness as metrics;
 
 pub use baseline::{EstimatorSearcher, SimilaritySearcher};
 pub use concurrent::{ConcurrentEngine, Generation, SnapshotReader};
@@ -102,7 +97,7 @@ pub use kernel::{
 };
 pub use offline::{OfflineIndex, OfflineStats};
 pub use posterior_cache::PosteriorCache;
-pub use search::{GbdaSearcher, SearchOutcome, SearchStats};
+pub use search::{SearchOutcome, SearchStats};
 pub use topk::{
     rank_by_posterior, rank_order, DynamicTopKOutcome, RankedHit, TopKHeap, TopKOutcome,
 };

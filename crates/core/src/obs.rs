@@ -136,14 +136,8 @@ pub(crate) fn record_search(stats: &SearchStats, query_seconds: f64) {
     m.plan_skipped_stage2.add(stats.plan_skipped_stage2 as u64);
     m.plan_postings_first.add(stats.plan_postings_first as u64);
     m.query_seconds.record(query_seconds);
-    // Paths that do not time a phase leave it at exactly 0.0 (a measured
-    // phase never is); skip those so the distributions stay meaningful.
-    if stats.flatten_seconds > 0.0 {
-        m.flatten_seconds.record(stats.flatten_seconds);
-    }
-    if stats.scan_seconds > 0.0 {
-        m.scan_seconds.record(stats.scan_seconds);
-    }
+    m.flatten_seconds.record(stats.flatten_seconds);
+    m.scan_seconds.record(stats.scan_seconds);
 }
 
 /// Handles of the posterior-cache metrics (hit/miss of the shared memo).

@@ -8,18 +8,10 @@
 //!    `(|V'1|, ϕ)` by the engine's [`crate::PosteriorCache`],
 //! 3. report `G` when `Φ ≥ γ`.
 //!
-//! [`GbdaSearcher`] is the stable single-query facade over
-//! [`crate::QueryEngine`], which adds batch execution and sharded scans. The
-//! two ablation variants of Section VII-D (GBDA-V1 and GBDA-V2) are handled
-//! by the engine by swapping the extended size or the branch distance fed
-//! into the model.
-
-use gbd_graph::{BranchMultiset, Graph};
-
-use crate::config::GbdaConfig;
-use crate::database::GraphDatabase;
-use crate::engine::QueryEngine;
-use crate::offline::OfflineIndex;
+//! [`crate::QueryEngine`] runs it (with batch execution and sharded scans);
+//! this module holds what a search returns. The two ablation variants of
+//! Section VII-D (GBDA-V1 and GBDA-V2) are handled by the engine by swapping
+//! the extended size or the branch distance fed into the model.
 
 /// Per-stage execution statistics of one search.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -41,7 +33,7 @@ pub struct SearchStats {
     pub evaluated: usize,
     /// Graphs rejected by a cascade bound stage alone — no ϕ was computed
     /// for them at all (only exercised when posterior recording is off and
-    /// [`GbdaConfig::filter_cascade`] is on).
+    /// [`crate::GbdaConfig::filter_cascade`] is on).
     pub bound_rejected: usize,
     /// Graphs accepted by a cascade bound stage alone — the upper bound on ϕ
     /// already fell inside the accepting prefix.
@@ -65,7 +57,7 @@ pub struct SearchStats {
     /// [`planner`](crate::filter::planner) cost model consumes.
     pub stage2_decided: usize,
     /// Segment scans whose stage order was chosen by the per-query planner
-    /// (zero under [`GbdaConfig::force_fixed_pipeline`]).
+    /// (zero under [`crate::GbdaConfig::force_fixed_pipeline`]).
     pub planned_scans: usize,
     /// Planned scans that skipped the bound stages entirely (tiny candidate
     /// sets go straight to exact resolution).
@@ -142,7 +134,7 @@ pub struct SearchOutcome {
     pub matches: Vec<usize>,
     /// The posterior `Φ` for every database graph (same indexing as the
     /// database), useful for diagnostics and the experiment harness. Empty
-    /// when [`GbdaConfig::record_posteriors`] is off.
+    /// when [`crate::GbdaConfig::record_posteriors`] is off.
     pub posteriors: Vec<f64>,
     /// Wall-clock seconds of the online stage for this query.
     pub seconds: f64,
@@ -150,72 +142,12 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// The GBDA searcher: the stable single-query interface over
-/// [`QueryEngine`].
-pub struct GbdaSearcher<'a> {
-    engine: QueryEngine<'a>,
-}
-
-impl<'a> GbdaSearcher<'a> {
-    /// Creates a searcher. For the GBDA-V1 variant the average extended size
-    /// is sampled here, once, exactly as the paper describes.
-    pub fn new(database: &'a GraphDatabase, index: &'a OfflineIndex, config: GbdaConfig) -> Self {
-        GbdaSearcher {
-            engine: QueryEngine::new(database, index, config),
-        }
-    }
-
-    /// The configuration this searcher runs with.
-    pub fn config(&self) -> &GbdaConfig {
-        self.engine.config()
-    }
-
-    /// The underlying query engine (batch execution, sharded scans, memo
-    /// statistics).
-    pub fn engine(&self) -> &QueryEngine<'a> {
-        &self.engine
-    }
-
-    /// The posterior `Φ = Pr[GED(Q, G_i) ≤ τ̂ | GBD]` for one database graph.
-    pub fn posterior(
-        &self,
-        query: &Graph,
-        query_branches: &BranchMultiset,
-        graph_index: usize,
-    ) -> f64 {
-        let phi = self.engine.observed_phi(query_branches, graph_index);
-        let extended_size = match self.engine.fixed_extended_size() {
-            Some(v) => v,
-            None => query
-                .vertex_count()
-                .max(self.engine.database().graph(graph_index).vertex_count())
-                .max(1),
-        };
-        self.engine.posterior_value(extended_size, phi)
-    }
-
-    /// Runs Algorithm 1 for one query graph.
-    pub fn search(&self, query: &Graph) -> SearchOutcome {
-        self.engine.search(query)
-    }
-
-    /// Runs a batch of queries (see [`QueryEngine::search_batch`]).
-    pub fn search_batch(&self, queries: &[Graph]) -> Vec<SearchOutcome> {
-        self.engine.search_batch(queries)
-    }
-
-    /// Runs a ranked query: the `k` database graphs with the highest
-    /// posterior, best first (see [`QueryEngine::search_top_k`] for the
-    /// determinism guarantee).
-    pub fn search_top_k(&self, query: &Graph, k: usize) -> crate::topk::TopKOutcome {
-        self.engine.search_top_k(query, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::GbdaVariant;
+    use crate::config::GbdaConfig;
+    use crate::database::GraphDatabase;
+    use crate::engine::QueryEngine;
+    use crate::offline::OfflineIndex;
     use gbd_graph::known_ged::ModificationMode;
     use gbd_graph::{GeneratorConfig, KnownGedConfig, KnownGedFamily, LabelAlphabets};
     use rand::rngs::StdRng;
@@ -238,7 +170,7 @@ mod tests {
     fn identical_graph_is_always_returned() {
         let (family, database, config) = family_setup(3);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = GbdaSearcher::new(&database, &index, config);
+        let searcher = QueryEngine::new(&database, &index, config);
         let query = family.member_graph(0).clone();
         let outcome = searcher.search(&query);
         assert!(
@@ -256,7 +188,7 @@ mod tests {
     fn posteriors_decrease_with_distance_on_average() {
         let (family, database, config) = family_setup(5);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = GbdaSearcher::new(&database, &index, config);
+        let searcher = QueryEngine::new(&database, &index, config);
         let query = family.member_graph(0).clone();
         let outcome = searcher.search(&query);
         let mut near = Vec::new();
@@ -282,7 +214,7 @@ mod tests {
     fn search_is_reasonably_effective_on_a_known_family() {
         let (family, database, config) = family_setup(4);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = GbdaSearcher::new(&database, &index, config.clone());
+        let searcher = QueryEngine::new(&database, &index, config.clone());
         let query = family.member_graph(0).clone();
         let outcome = searcher.search(&query);
         let positives: Vec<usize> = (0..database.len())
@@ -302,56 +234,22 @@ mod tests {
     fn posterior_accessor_matches_search_results() {
         let (family, database, config) = family_setup(3);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = GbdaSearcher::new(&database, &index, config);
+        let searcher = QueryEngine::new(&database, &index, config);
         let query = family.member_graph(0).clone();
-        let branches = BranchMultiset::from_graph(&query);
         let outcome = searcher.search(&query);
         for i in 0..database.len() {
             assert_eq!(
-                searcher.posterior(&query, &branches, i).to_bits(),
+                searcher.posterior_of(&query, i).to_bits(),
                 outcome.posteriors[i].to_bits()
             );
         }
     }
 
     #[test]
-    fn variant_v1_uses_a_fixed_extended_size() {
-        let (family, database, config) = family_setup(3);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let v1 = config
-            .clone()
-            .with_variant(GbdaVariant::AverageExtendedSize { sample_graphs: 5 });
-        let searcher = GbdaSearcher::new(&database, &index, v1);
-        assert!(searcher.engine().fixed_extended_size().is_some());
-        let query = family.member_graph(1).clone();
-        let outcome = searcher.search(&query);
-        assert_eq!(outcome.posteriors.len(), database.len());
-    }
-
-    #[test]
-    fn variant_v2_changes_the_observed_distance() {
-        let (family, database, config) = family_setup(3);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let standard = GbdaSearcher::new(&database, &index, config.clone());
-        let v2 = GbdaSearcher::new(
-            &database,
-            &index,
-            config.with_variant(GbdaVariant::WeightedGbd { weight: 0.1 }),
-        );
-        let query = family.member_graph(0).clone();
-        let branches = BranchMultiset::from_graph(&query);
-        // With w = 0.1 the intersection barely counts, so the observed ϕ is
-        // larger than the true GBD for the identical graph.
-        assert!(
-            v2.engine().observed_phi(&branches, 0) > standard.engine().observed_phi(&branches, 0)
-        );
-    }
-
-    #[test]
     fn gamma_one_returns_a_subset_of_gamma_half() {
         let (family, database, config) = family_setup(3);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let loose = GbdaSearcher::new(
+        let loose = QueryEngine::new(
             &database,
             &index,
             GbdaConfig {
@@ -359,7 +257,7 @@ mod tests {
                 ..config.clone()
             },
         );
-        let strict = GbdaSearcher::new(
+        let strict = QueryEngine::new(
             &database,
             &index,
             GbdaConfig {

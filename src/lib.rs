@@ -42,18 +42,18 @@
 //! let database = GraphDatabase::from_graphs(graphs);
 //! let config = GbdaConfig::new(3, 0.8).with_sample_pairs(300);
 //! let index = OfflineIndex::build(&database, &config).unwrap();
-//! let searcher = GbdaSearcher::new(&database, &index, config);
-//! let result = searcher.search(&query);
+//! let engine = QueryEngine::new(&database, &index, config);
+//! let result = engine.search(&query);
 //! assert!(result.matches.contains(&3));
 //!
 //! // Ranked: the 5 most similar graphs, best first. Equal posteriors order
 //! // by ascending graph id, so results are reproducible run-to-run.
-//! let top = searcher.search_top_k(&query, 5);
+//! let top = engine.search_top_k(&query, 5);
 //! assert_eq!(top.hits.len(), 5);
 //! assert!(top.hits.iter().any(|hit| hit.id == 3));
 //! ```
 //!
-//! For batch workloads, [`prelude::QueryEngine`] adds `search_batch` /
+//! For batch workloads, [`prelude::QueryEngine`] also has `search_batch` /
 //! `search_top_k_batch` and shard-parallel scans (`GbdaConfig::with_shards`);
 //! see the crate README's "Query engine architecture" and "Ranked queries"
 //! sections.
@@ -96,8 +96,8 @@ pub mod prelude {
         rank_by_posterior, BoundClass, BucketPlan, BucketRun, CollectAll, ConcurrentEngine,
         Confusion, Cutoff, DatabaseParts, DurabilityConfig, DynamicDatabase, DynamicEngine,
         DynamicOutcome, DynamicTopKOutcome, DynamicView, EngineError, EngineResult,
-        EstimatorSearcher, FilterCascade, GbdaConfig, GbdaEstimator, GbdaSearcher, GbdaVariant,
-        Generation, GraphAggregate, GraphDatabase, OfflineIndex, Planner, PosteriorCache, Posting,
+        EstimatorSearcher, FilterCascade, GbdaConfig, GbdaEstimator, GbdaVariant, Generation,
+        GraphAggregate, GraphDatabase, OfflineIndex, Planner, PosteriorCache, Posting,
         PostingsCursors, QueryEngine, QueryPlan, RankDecision, RankedHit, ScanKernel,
         SearchOutcome, SearchStats, SegmentIndex, SimilaritySearcher, Sink, SizeDecision,
         SnapshotReader, StaticPhi, Subscriber, TighteningRank, TopKHeap, TopKOutcome, TopKSink,

@@ -33,7 +33,7 @@ fn gbda_is_effective_on_an_aids_like_dataset() {
     let database = GraphDatabase::with_alphabets(dataset.graphs.clone(), dataset.alphabets);
     let config = GbdaConfig::new(tau_hat, 0.7).with_sample_pairs(1500);
     let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
-    let gbda = GbdaSearcher::new(&database, &index, config);
+    let gbda = QueryEngine::new(&database, &index, config);
     let result = evaluate(&gbda, &dataset, tau_hat as usize);
     assert!(
         result.f1() > 0.5,
@@ -60,7 +60,7 @@ fn lsap_has_perfect_recall_and_gbda_has_competitive_f1() {
 
     let config = GbdaConfig::new(tau_hat, 0.7).with_sample_pairs(1500);
     let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
-    let gbda = GbdaSearcher::new(&database, &index, config);
+    let gbda = QueryEngine::new(&database, &index, config);
     let gbda_result = evaluate(&gbda, &dataset, tau_hat as usize);
     // On the cluster-structured substitute every edit touches the same
     // modification center, so GBD ≈ GED + 1 (instead of ≈ 2·GED on organic
@@ -90,7 +90,7 @@ fn all_methods_run_on_the_same_fingerprint_like_workload() {
     let index = OfflineIndex::build(&database, &gbda_config).expect("offline stage builds");
 
     let searchers: Vec<Box<dyn SimilaritySearcher>> = vec![
-        Box::new(GbdaSearcher::new(&database, &index, gbda_config)),
+        Box::new(QueryEngine::new(&database, &index, gbda_config)),
         Box::new(EstimatorSearcher::new(&database, LsapGed, tau_hat as f64)),
         Box::new(EstimatorSearcher::new(&database, GreedyGed, tau_hat as f64)),
         Box::new(EstimatorSearcher::new(

@@ -1,7 +1,7 @@
 //! Kernel-level invariants shared by every scan instantiation, exercised
 //! through the `gbda` facade.
 //!
-//! Two contracts from the scan-kernel refactor:
+//! Three contracts from the scan-kernel refactor:
 //!
 //! 1. **Stage partition** — every evaluated graph is decided by exactly one
 //!    stage of the kernel, so
@@ -14,6 +14,10 @@
 //!    yields exactly the hit set (and, in record mode, the posterior bits) of
 //!    a collecting scan over the same final database state, for any
 //!    interleaving of inserts, removes and compactions.
+//!
+//! 3. **One driver, two view shapes** — a static engine over `D` and a
+//!    dynamic engine over `D` with an empty log run the same driver code, so
+//!    they agree on every answer *and every stats counter*.
 
 use gbda::prelude::*;
 use proptest::prelude::*;
@@ -204,6 +208,79 @@ fn stage_partition_holds_for_streaming_scans() {
         let engine = DynamicEngine::new(&dynamic, &index, mode);
         let stats = engine.search_streaming(&query, |_, _| {});
         assert_partition(&stats, live, &format!("dynamic streaming {context}"));
+    }
+}
+
+/// `QueryEngine` over `D` (one unmasked part) and `DynamicEngine` over
+/// `DynamicDatabase::new(D)` (base part + empty delta part, no tombstones)
+/// are the same driver in its two view shapes: at one shard they return the
+/// same ids, matches, posterior bits and ranked hits, and `SearchStats`
+/// equal field for field once the wall-clock fields are zeroed — for
+/// threshold, top-k and streaming, in every mode. Both engines see the same
+/// query sequence, so their planners and posterior memos evolve in step.
+#[test]
+fn static_and_empty_log_dynamic_engines_agree_on_answers_and_stats() {
+    fn timeless(mut stats: SearchStats) -> SearchStats {
+        stats.flatten_seconds = 0.0;
+        stats.scan_seconds = 0.0;
+        stats
+    }
+    let bits = |posteriors: &[f64]| posteriors.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+
+    let database = GraphDatabase::from_graphs(mixed_graphs(0xF5, 8));
+    let n = database.len();
+    let config = GbdaConfig::new(4, 0.7).with_sample_pairs(150).with_seed(23);
+    let index = OfflineIndex::build(&database, &config).unwrap();
+    let dynamic = DynamicDatabase::new(database.clone());
+    // Enough queries for the planners to leave their priors behind.
+    let queries: Vec<Graph> = (0..10)
+        .map(|i| database.graph((i * 5) % n).clone())
+        .collect();
+
+    for (context, mode) in all_modes(&config) {
+        let fixed = QueryEngine::new(&database, &index, mode.clone());
+        let live = DynamicEngine::new(&dynamic, &index, mode);
+        assert_eq!(fixed.fixed_extended_size(), live.fixed_extended_size());
+        for (q, query) in queries.iter().enumerate() {
+            let context = format!("{context} query {q}");
+            let (a, b) = (fixed.search(query), live.search(query));
+            assert_eq!(b.ids, (0..n as u64).collect::<Vec<_>>(), "{context}");
+            let matches: Vec<u64> = a.matches.iter().map(|&i| i as u64).collect();
+            assert_eq!(matches, b.matches, "{context}: matches");
+            assert_eq!(bits(&a.posteriors), bits(&b.posteriors), "{context}");
+            assert_eq!(timeless(a.stats), timeless(b.stats), "{context}: stats");
+
+            for k in [1usize, 5, n + 2] {
+                let (a, b) = (fixed.search_top_k(query, k), live.search_top_k(query, k));
+                let hits = |id: u64, posterior: f64| (id, posterior.to_bits());
+                assert_eq!(
+                    a.hits
+                        .iter()
+                        .map(|h| hits(h.id as u64, h.posterior))
+                        .collect::<Vec<_>>(),
+                    b.hits
+                        .iter()
+                        .map(|h| hits(h.id, h.posterior))
+                        .collect::<Vec<_>>(),
+                    "{context}: top-{k} hits"
+                );
+                assert_eq!(
+                    timeless(a.stats),
+                    timeless(b.stats),
+                    "{context}: top-{k} stats"
+                );
+            }
+
+            let (mut streamed_a, mut streamed_b) = (Vec::new(), Vec::new());
+            let a = fixed.search_streaming(query, |id, p| {
+                streamed_a.push((id as u64, p.map(f64::to_bits)));
+            });
+            let b = live.search_streaming(query, |id, p| {
+                streamed_b.push((id, p.map(f64::to_bits)));
+            });
+            assert_eq!(streamed_a, streamed_b, "{context}: streamed hits");
+            assert_eq!(timeless(a), timeless(b), "{context}: streaming stats");
+        }
     }
 }
 

@@ -242,6 +242,52 @@ fn global_level_gating_and_engine_flush() {
     telemetry::set_level(TelemetryLevel::Metrics);
 }
 
+/// Every search mode times both phases, so the phase histograms move in
+/// step with `gbda_queries_total` — streaming searches included, which the
+/// hand-written streaming drivers used to leave at 0.0 and therefore out of
+/// `gbda_flatten_seconds` / `gbda_scan_seconds` altogether.
+#[test]
+fn streaming_searches_feed_the_phase_histograms() {
+    let _guard = GLOBAL_TELEMETRY_LOCK.lock().unwrap();
+    telemetry::set_level(TelemetryLevel::Metrics);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let graphs = GeneratorConfig::new(10, 2.0)
+        .with_alphabets(LabelAlphabets::new(5, 3))
+        .generate_many(30, &mut rng)
+        .unwrap();
+    let query = graphs[4].clone();
+    let database = GraphDatabase::from_graphs(graphs);
+    let config = GbdaConfig::new(3, 0.8).with_sample_pairs(120);
+    let index = OfflineIndex::build(&database, &config).unwrap();
+    let observations = |run: &dyn Fn() -> SearchStats| {
+        let before = telemetry::global().snapshot();
+        let stats = run();
+        assert!(stats.flatten_seconds > 0.0 && stats.scan_seconds > 0.0);
+        let delta = telemetry::global().snapshot().delta(&before);
+        let count = |name: &str| delta.histogram(name).map_or(0, |h| h.count);
+        (
+            delta.counter("gbda_queries_total"),
+            count("gbda_flatten_seconds"),
+            count("gbda_scan_seconds"),
+        )
+    };
+
+    let engine = QueryEngine::new(&database, &index, config.clone());
+    let streamed = observations(&|| engine.search_streaming(&query, |_, _| {}));
+    assert_eq!(streamed, (1, 1, 1), "static streaming search");
+    assert_eq!(observations(&|| engine.search(&query).stats), (1, 1, 1));
+
+    let mut dynamic = DynamicDatabase::new(database.clone());
+    dynamic.insert(query.clone());
+    let engine = DynamicEngine::new(&dynamic, &index, config);
+    let streamed = observations(&|| engine.search_streaming(&query, |_, _| {}));
+    assert_eq!(streamed, (1, 1, 1), "dynamic streaming search");
+    assert_eq!(
+        observations(&|| engine.search_top_k(&query, 3).stats),
+        (1, 1, 1)
+    );
+}
+
 /// The escalate-or-explicit-set contract of [`GbdaConfig::telemetry`]:
 /// constructing a second engine with a *conflicting* (lower) level must not
 /// silently reconfigure the process for the engines already running —
