@@ -39,10 +39,6 @@ pub struct GbdaConfig {
     pub seed: u64,
     /// Which estimator variant to run.
     pub variant: GbdaVariant,
-    /// Number of shards a database scan is split into; each shard is scanned
-    /// by its own thread under `std::thread::scope`. `1` keeps the scan on
-    /// the calling thread.
-    pub shards: usize,
     /// Whether [`crate::SearchOutcome::posteriors`] is filled for every
     /// database graph. Disabling it lets the engine answer most graphs with
     /// a single integer comparison against the per-size ϕ threshold.
@@ -89,7 +85,6 @@ impl Default for GbdaConfig {
             gmm: GmmConfig::default(),
             seed: 0x6BDA,
             variant: GbdaVariant::Standard,
-            shards: 1,
             record_posteriors: true,
             filter_cascade: true,
             force_fixed_pipeline: false,
@@ -124,12 +119,6 @@ impl GbdaConfig {
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the number of scan shards (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -229,7 +218,6 @@ mod tests {
         assert_eq!(c.tau_hat, 5);
         assert!((c.gamma - 0.9).abs() < 1e-12);
         assert_eq!(c.variant, GbdaVariant::Standard);
-        assert_eq!(c.shards, 1);
         assert!(c.record_posteriors);
         assert!(c.filter_cascade);
         assert!(!c.force_fixed_pipeline, "the planner is on by default");
@@ -258,17 +246,6 @@ mod tests {
     fn filter_cascade_can_be_disabled() {
         let c = GbdaConfig::default().with_filter_cascade(false);
         assert!(!c.filter_cascade);
-    }
-
-    #[test]
-    fn shard_count_is_clamped_to_one() {
-        let c = GbdaConfig::default().with_shards(0);
-        assert_eq!(c.shards, 1);
-        let c = GbdaConfig::default()
-            .with_shards(8)
-            .with_record_posteriors(false);
-        assert_eq!(c.shards, 8);
-        assert!(!c.record_posteriors);
     }
 
     #[test]

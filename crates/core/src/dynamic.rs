@@ -26,10 +26,9 @@
 //! Queries run on the one scan driver every engine shares (`scan.rs`), in
 //! its **dynamic view shape**: the base segment as one part, then the
 //! view's [`DeltaPrefix`] as a second part under the delta log's read guard,
-//! each under its tombstone mask and keyed by stable ids, in one lane — so
-//! one sink (one top-k heap) spans both. [`crate::QueryEngine`] is the
-//! other shape (one unmasked part, `config.shards` lanes); no scan logic
-//! lives in either. At *any* point — compacted or not — [`DynamicEngine`]
+//! each under its tombstone mask and keyed by stable ids — so one sink (one
+//! top-k heap) spans both. [`crate::QueryEngine`] is the other shape (one
+//! unmasked part); no scan logic lives in either. At *any* point — compacted or not — [`DynamicEngine`]
 //! therefore returns bit-identical matches and posteriors to a
 //! [`crate::QueryEngine`] over a freshly built database of the survivors
 //! (given the same [`OfflineIndex`]), for every variant and cascade mode;
@@ -53,7 +52,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::filter::SegmentIndex;
 use crate::kernel::{CollectAll, Sink, Subscriber, TopKSink};
 use crate::offline::OfflineIndex;
-use crate::scan::{inline, Mode, Rank, Scanner, Target, Threshold};
+use crate::scan::{Mode, Rank, Scanner, Target, Threshold};
 use crate::search::SearchStats;
 use crate::topk::DynamicTopKOutcome;
 
@@ -877,8 +876,8 @@ impl DynamicView for DynamicDatabase {
 /// The dynamic view shape of the scan driver: a [`Scanner`] pointed at one
 /// [`DynamicView`] — the base segment as one part, then the view's
 /// [`DeltaPrefix`] as a second part under the delta log's read guard, both
-/// under their tombstone masks and keyed by stable ids, in **one lane**, so
-/// one sink spans both parts (a strong base candidate tightens the rank
+/// under their tombstone masks and keyed by stable ids, into **one sink**
+/// that spans both parts (a strong base candidate tightens the rank
 /// bound that prunes delta graphs and vice versa).
 ///
 /// [`DynamicEngine`] builds one over its borrowed [`DynamicDatabase`],
@@ -912,19 +911,16 @@ impl<V: DynamicView + ?Sized> ViewScan<'_, V> {
             candidates: view.view_len(),
         };
         let flatten = |branches: &BranchMultiset| view.view_catalog().flatten_lookup(branches);
-        let (mut sinks, stats, seconds) =
-            self.scanner
-                .run(target, query, flatten, mode, vec![sink], |run| {
-                    let (tombstones, ids) = (view.view_base_tombstones(), view.view_base_ids());
-                    before_part(tombstones, ids, false);
-                    run.part(view.view_base(), |i| tombstones.get(i), |i| ids[i], inline);
-                    // The guard spans the delta scan only — never the base scan.
-                    let delta = view.view_delta();
-                    let (tombstones, ids) = (view.view_delta_tombstones(), delta.ids());
-                    before_part(tombstones, ids, true);
-                    run.part(&delta, |i| tombstones.get(i), |i| ids[i], inline);
-                });
-        (sinks.pop().expect("one sink in, one out"), stats, seconds)
+        self.scanner.run(target, query, flatten, mode, sink, |run| {
+            let (tombstones, ids) = (view.view_base_tombstones(), view.view_base_ids());
+            before_part(tombstones, ids, false);
+            run.part(view.view_base(), |i| tombstones.get(i), |i| ids[i]);
+            // The guard spans the delta scan only — never the base scan.
+            let delta = view.view_delta();
+            let (tombstones, ids) = (view.view_delta_tombstones(), delta.ids());
+            before_part(tombstones, ids, true);
+            run.part(&delta, |i| tombstones.get(i), |i| ids[i]);
+        })
     }
 
     /// Runs Algorithm 1 over the view's live set.

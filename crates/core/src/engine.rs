@@ -4,16 +4,13 @@
 //! once, in the crate-private scan driver (`scan.rs`), which also owns the
 //! posterior memo, the decision tables and the stage planner. A
 //! [`QueryEngine`] is that driver pointed at an immutable
-//! [`GraphDatabase`]: **one unmasked part** whose slots are their own ids,
-//! split over `config.shards` lanes. ([`crate::DynamicEngine`] is the other
-//! view shape: a base part and a delta part in one lane.) It offers
+//! [`GraphDatabase`]: **one unmasked part** whose slots are their own ids.
+//! ([`crate::DynamicEngine`] is the other view shape: a base part and a
+//! delta part feeding one sink.) It offers
 //!
 //! * [`QueryEngine::search`] / [`QueryEngine::search_top_k`] /
 //!   [`QueryEngine::search_streaming`] — one query, threshold, ranked or
-//!   streamed, the first two over `config.shards` scoped threads,
-//! * [`QueryEngine::search_batch`] / [`QueryEngine::search_top_k_batch`] —
-//!   many queries, distributed over the shards (each worker scans its
-//!   queries sequentially),
+//!   streamed, scanned on the calling thread,
 //! * [`QueryEngine::reference_search`] / [`QueryEngine::top_k_reference`] —
 //!   the seed-faithful sequential scans, kept as the equivalence baselines
 //!   for tests and benchmarks.
@@ -40,14 +37,12 @@ use gbd_prob::posterior_ged_at_most;
 use crate::config::{GbdaConfig, GbdaVariant};
 use crate::database::GraphDatabase;
 use crate::filter::{RankDecision, SizeDecision};
-use crate::kernel::{
-    extended_size, run_batch, scan_shards, CollectAll, Sink, Subscriber, TopKSink,
-};
+use crate::kernel::{extended_size, CollectAll, Sink, Subscriber, TopKSink};
 use crate::offline::OfflineIndex;
 use crate::posterior_cache::PosteriorCache;
-use crate::scan::{inline, Mode, Rank, Scanner, Spread, Target, Threshold};
+use crate::scan::{Mode, Rank, Scanner, Target, Threshold};
 use crate::search::{SearchOutcome, SearchStats};
-use crate::topk::{merge_ranked, rank_by_posterior, RankedHit, TopKOutcome};
+use crate::topk::{rank_by_posterior, RankedHit, TopKOutcome};
 
 /// The GBDA query engine over an immutable database: database + offline
 /// index + the scan driver (configuration and memo state).
@@ -179,71 +174,15 @@ impl<'a> QueryEngine<'a> {
             .rank_decision(self.index, extended_size, self.database.max_vertices())
     }
 
-    /// Runs Algorithm 1 for one query graph over `config.shards` database
-    /// shards.
-    pub fn search(&self, query: &Graph) -> SearchOutcome {
-        self.search_with_shards(query, self.config().shards)
-    }
-
-    /// Runs a batch of queries over `config.shards` worker threads. One
-    /// thread scope is built for the whole batch and the workers pull
-    /// queries from a shared cursor (work stealing), so a handful of slow
-    /// queries cannot idle the other workers the way fixed chunks would.
-    /// All workers share the posterior memo. Outcomes keep the input order
-    /// and are identical to running [`Self::search`] per query.
-    pub fn search_batch(&self, queries: &[Graph]) -> Vec<SearchOutcome> {
-        self.search_batch_with_stats(queries).0
-    }
-
-    /// [`Self::search_batch`] plus the batch-aggregated [`SearchStats`]:
-    /// counters (including the filter cascade's per-stage skip counts) are
-    /// summed over all queries, timings are summed, and `shards` reports
-    /// the number of worker threads the batch actually used.
-    ///
-    /// Aggregation loses the per-query latency resolution, but each query
-    /// of the batch feeds the workspace telemetry histograms
-    /// (`gbda_query_seconds` & co, see the `gbd-telemetry` crate) before
-    /// its stats are absorbed, so the distribution survives there.
-    pub fn search_batch_with_stats(&self, queries: &[Graph]) -> (Vec<SearchOutcome>, SearchStats) {
-        self.batch(
-            queries,
-            |query, shards| self.search_with_shards(query, shards),
-            |outcome| &outcome.stats,
-        )
-    }
-
-    /// The work-stealing batch scaffold shared by the threshold and ranked
-    /// batches: runs `per_query` over `config.shards` workers and absorbs
-    /// the per-query stats.
-    fn batch<T: Send>(
-        &self,
-        queries: &[Graph],
-        per_query: impl Fn(&Graph, usize) -> T + Sync,
-        stats_of: impl Fn(&T) -> &SearchStats,
-    ) -> (Vec<T>, SearchStats) {
-        let (outcomes, batch_workers) = run_batch(self.config().shards.max(1), queries, per_query);
-        let mut stats = SearchStats::default();
-        for outcome in &outcomes {
-            stats.absorb(stats_of(outcome));
-        }
-        // Work-stealing workers scan each query unsharded (shards = 1 in
-        // every outcome), so report the batch's actual worker count instead.
-        if let Some(workers) = batch_workers {
-            stats.shards = workers;
-        }
-        (outcomes, stats)
-    }
-
     /// One driver run over the database as a single unmasked part whose
-    /// slots are their own ids, one lane per sink.
+    /// slots are their own ids.
     fn scan<M: Mode, K: Sink<usize>>(
         &self,
         span: &'static str,
         query: &Graph,
         mode: M,
-        sinks: Vec<K>,
-        spread: Spread<K>,
-    ) -> (Vec<K>, SearchStats, f64) {
+        sink: K,
+    ) -> (K, SearchStats, f64) {
         let target = Target {
             span,
             index: self.index,
@@ -252,76 +191,57 @@ impl<'a> QueryEngine<'a> {
             candidates: self.database.len(),
         };
         let flatten = |branches: &BranchMultiset| self.database.catalog().flatten_lookup(branches);
-        self.scanner
-            .run(target, query, flatten, mode, sinks, |run| {
-                run.part(self.database, |_| false, |slot| slot, spread)
-            })
+        self.scanner.run(target, query, flatten, mode, sink, |run| {
+            run.part(self.database, |_| false, |slot| slot)
+        })
     }
 
-    /// One sink per lane: `shards` clamped to `[1, max(|D|, 1)]`.
-    fn sinks<K>(&self, shards: usize, sink: impl Fn() -> K) -> Vec<K> {
-        let lanes = shards.max(1).min(self.database.len().max(1));
-        (0..lanes).map(|_| sink()).collect()
-    }
-
-    fn search_with_shards(&self, query: &Graph, shards: usize) -> SearchOutcome {
-        let record = self.config().record_posteriors;
-        let sinks = self.sinks(shards, || CollectAll::new(record));
-        let (sinks, stats, seconds) =
-            self.scan("engine.search", query, Threshold, sinks, scan_shards);
-        // Lanes cover contiguous index ranges in order, so concatenating
-        // preserves the database ordering of matches and posteriors.
-        let (mut matches, mut posteriors) = (Vec::new(), Vec::new());
-        for sink in sinks {
-            matches.extend(sink.matches);
-            posteriors.extend(sink.posteriors);
-        }
+    /// Runs Algorithm 1 for one query graph.
+    pub fn search(&self, query: &Graph) -> SearchOutcome {
+        let sink = CollectAll::new(self.config().record_posteriors);
+        let (sink, stats, seconds) = self.scan("engine.search", query, Threshold, sink);
         SearchOutcome {
-            matches,
-            posteriors,
+            matches: sink.matches,
+            posteriors: sink.posteriors,
             seconds,
             stats,
         }
     }
 
     /// Runs Algorithm 1 for one query, delivering hits to `on_match` as the
-    /// (single-threaded, ascending-index) scan finds them instead of
-    /// buffering a result set — the [`Subscriber`]-sink instantiation of the
-    /// kernel. Fast-path accepts arrive with `None` (their posterior was
-    /// never resolved); resolved hits carry `Some(Φ)`, and every hit carries
-    /// one when [`GbdaConfig::record_posteriors`] is on. The delivered id
-    /// set is exactly [`Self::search`]'s `matches`, in the same order.
+    /// (ascending-index) scan finds them instead of buffering a result set
+    /// — the [`Subscriber`]-sink instantiation of the kernel. Fast-path
+    /// accepts arrive with `None` (their posterior was never resolved);
+    /// resolved hits carry `Some(Φ)`, and every hit carries one when
+    /// [`GbdaConfig::record_posteriors`] is on. The delivered id set is
+    /// exactly [`Self::search`]'s `matches`, in the same order.
     pub fn search_streaming<F>(&self, query: &Graph, on_match: F) -> SearchStats
     where
         F: FnMut(usize, Option<f64>),
     {
-        let sinks = vec![Subscriber::new(on_match)];
-        self.scan("engine.search_streaming", query, Threshold, sinks, inline)
+        let sink = Subscriber::new(on_match);
+        self.scan("engine.search_streaming", query, Threshold, sink)
             .1
     }
 
     /// Runs a **ranked** query: the `k` database graphs with the highest
-    /// posterior `Φ = Pr[GED ≤ τ̂ | GBD]`, best first, scanned over
-    /// `config.shards` shards.
+    /// posterior `Φ = Pr[GED ≤ τ̂ | GBD]`, best first.
     ///
     /// # Determinism
     ///
     /// Results are bit-identical to "scan every graph threshold-free, sort
     /// under [`crate::topk::rank_order`] — the canonical ranking total order
-    /// — truncate to `k`" ([`Self::top_k_reference`]), for every variant,
-    /// cascade mode and shard count, run-to-run. `γ` plays no role in
-    /// ranked queries, and [`GbdaConfig::record_posteriors`] is ignored:
-    /// the hits carry their posteriors, and no full posterior array is
-    /// materialised.
+    /// — truncate to `k`" ([`Self::top_k_reference`]), for every variant
+    /// and cascade mode, run-to-run. `γ` plays no role in ranked queries,
+    /// and [`GbdaConfig::record_posteriors`] is ignored: the hits carry
+    /// their posteriors, and no full posterior array is materialised.
     ///
-    /// With the cascade on, the running k-th-best posterior of the
-    /// (per-shard) heap is converted into a per-extended-size ϕ cutoff via
-    /// the monotone posterior suffix-maximum tables ([`RankDecision`]) and
-    /// fed back into the [`crate::FilterCascade`] bound stages — a dynamically
-    /// *tightening* bound that rejects ever more graphs as better candidates
-    /// accumulate. Per-shard heaps are merged by re-sorting under
-    /// [`crate::topk::merge_ranked`], which keeps sharded scans identical to
-    /// sequential ones.
+    /// With the cascade on, the running k-th-best posterior of the heap is
+    /// converted into a per-extended-size ϕ cutoff via the monotone
+    /// posterior suffix-maximum tables ([`RankDecision`]) and fed back into
+    /// the [`crate::FilterCascade`] bound stages — a dynamically
+    /// *tightening* bound that rejects ever more graphs as better
+    /// candidates accumulate.
     ///
     /// # Examples
     ///
@@ -344,40 +264,13 @@ impl<'a> QueryEngine<'a> {
     /// assert!(top.hits[0].posterior >= top.hits[4].posterior); // best first
     /// ```
     pub fn search_top_k(&self, query: &Graph, k: usize) -> TopKOutcome {
-        self.search_top_k_with_shards(query, k, self.config().shards)
-    }
-
-    /// Runs a batch of ranked queries over `config.shards` worker threads
-    /// (the same work-stealing scaffold as [`Self::search_batch`]). Outcomes
-    /// keep the input order and are identical to running
-    /// [`Self::search_top_k`] per query.
-    pub fn search_top_k_batch(&self, queries: &[Graph], k: usize) -> Vec<TopKOutcome> {
-        self.search_top_k_batch_with_stats(queries, k).0
-    }
-
-    /// [`Self::search_top_k_batch`] plus the batch-aggregated
-    /// [`SearchStats`], mirroring [`Self::search_batch_with_stats`].
-    pub fn search_top_k_batch_with_stats(
-        &self,
-        queries: &[Graph],
-        k: usize,
-    ) -> (Vec<TopKOutcome>, SearchStats) {
-        self.batch(
-            queries,
-            |query, shards| self.search_top_k_with_shards(query, k, shards),
-            |outcome| &outcome.stats,
-        )
-    }
-
-    fn search_top_k_with_shards(&self, query: &Graph, k: usize, shards: usize) -> TopKOutcome {
         if k == 0 {
             return TopKOutcome::default();
         }
-        let sinks = self.sinks(shards, || TopKSink::new(k));
-        let (sinks, stats, seconds) =
-            self.scan("engine.search_top_k", query, Rank(k), sinks, scan_shards);
+        let (sink, stats, seconds) =
+            self.scan("engine.search_top_k", query, Rank(k), TopKSink::new(k));
         TopKOutcome {
-            hits: merge_ranked(sinks.into_iter().map(TopKSink::into_sorted_hits), k),
+            hits: sink.into_sorted_hits(),
             seconds,
             stats,
         }
@@ -403,7 +296,7 @@ impl<'a> QueryEngine<'a> {
 
     /// The seed-faithful sequential scan: branch-multiset merges and a fresh
     /// posterior evaluation per database graph, no memoization, no flat
-    /// storage, no sharding. Kept as the equivalence baseline for tests and
+    /// storage. Kept as the equivalence baseline for tests and
     /// the `online_syn` benchmark.
     pub fn reference_search(&self, query: &Graph) -> SearchOutcome {
         let started = Instant::now();
@@ -429,7 +322,6 @@ impl<'a> QueryEngine<'a> {
             posteriors,
             seconds: started.elapsed().as_secs_f64(),
             stats: SearchStats {
-                shards: 1,
                 evaluated: self.database.len(),
                 cache_misses: self.database.len(),
                 merged: self.database.len(),
@@ -474,42 +366,6 @@ mod tests {
         for q in 0..3 {
             let query = family.member_graph(q).clone();
             outcomes_identical(&engine.search(&query), &engine.reference_search(&query));
-        }
-    }
-
-    #[test]
-    fn sharded_scan_equals_sequential_scan() {
-        let (family, database, config) = family_setup(4);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let sequential = QueryEngine::new(&database, &index, config.clone());
-        let sharded = QueryEngine::new(&database, &index, config.with_shards(4));
-        let query = family.member_graph(0).clone();
-        let a = sequential.search(&query);
-        let b = sharded.search(&query);
-        outcomes_identical(&a, &b);
-        assert_eq!(b.stats.shards, 4);
-        assert_eq!(b.stats.evaluated, database.len());
-    }
-
-    #[test]
-    fn shards_never_exceed_the_database_size() {
-        let (family, database, config) = family_setup(3);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let engine = QueryEngine::new(&database, &index, config.with_shards(10_000));
-        let outcome = engine.search(family.member_graph(0));
-        assert!(outcome.stats.shards <= database.len());
-    }
-
-    #[test]
-    fn batch_search_keeps_order_and_equals_per_query_search() {
-        let (family, database, config) = family_setup(4);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let engine = QueryEngine::new(&database, &index, config.with_shards(3));
-        let queries: Vec<Graph> = (0..5).map(|i| family.member_graph(i).clone()).collect();
-        let batch = engine.search_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (query, outcome) in queries.iter().zip(&batch) {
-            outcomes_identical(outcome, &engine.search(query));
         }
     }
 
@@ -670,30 +526,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_stats_aggregate_the_filter_counters() {
-        let (queries, database, config) = spread_setup(4);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let engine = QueryEngine::new(
-            &database,
-            &index,
-            config.with_record_posteriors(false).with_shards(3),
-        );
-        let (outcomes, stats) = engine.search_batch_with_stats(&queries);
-        assert_eq!(outcomes.len(), queries.len());
-        assert_eq!(stats.evaluated, database.len() * queries.len());
-        assert_eq!(stats.shards, 3, "batch stats report the worker count");
-        let per_query: usize = outcomes.iter().map(|o| o.stats.bound_rejected).sum();
-        assert_eq!(stats.bound_rejected, per_query);
-        assert_eq!(
-            stats.skipped_merges() + stats.merged,
-            database.len() * queries.len()
-        );
-        for (query, outcome) in queries.iter().zip(&outcomes) {
-            outcomes_identical(outcome, &engine.search(query));
-        }
-    }
-
     fn hits_identical(a: &[RankedHit], b: &[RankedHit]) {
         assert_eq!(a.len(), b.len(), "ranked result lengths diverge");
         for (x, y) in a.iter().zip(b) {
@@ -729,39 +561,6 @@ mod tests {
                     assert_eq!(top.stats.evaluated, database.len());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sharded_top_k_equals_sequential_top_k() {
-        let (queries, database, config) = spread_setup(4);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let sequential = QueryEngine::new(&database, &index, config.clone());
-        for shards in [2usize, 4, 7] {
-            let sharded = QueryEngine::new(&database, &index, config.clone().with_shards(shards));
-            for query in &queries {
-                for k in [1usize, 6, database.len()] {
-                    let a = sequential.search_top_k(query, k);
-                    let b = sharded.search_top_k(query, k);
-                    hits_identical(&a.hits, &b.hits);
-                    assert_eq!(b.stats.shards, shards);
-                    assert_eq!(b.stats.evaluated, database.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_batch_keeps_order_and_equals_per_query() {
-        let (queries, database, config) = spread_setup(4);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        let engine = QueryEngine::new(&database, &index, config.with_shards(3));
-        let (batch, stats) = engine.search_top_k_batch_with_stats(&queries, 5);
-        assert_eq!(batch.len(), queries.len());
-        assert_eq!(stats.evaluated, database.len() * queries.len());
-        assert_eq!(stats.shards, 3, "batch stats report the worker count");
-        for (query, outcome) in queries.iter().zip(&batch) {
-            hits_identical(&outcome.hits, &engine.search_top_k(query, 5).hits);
         }
     }
 
@@ -842,10 +641,41 @@ mod tests {
                 "hits must be sorted best-first"
             );
         }
-        // An empty database ranks to nothing.
+        // Databases of zero and one graph, scored with the index built above.
         let empty = GraphDatabase::from_graphs(Vec::new());
-        let empty_engine = QueryEngine::new(&empty, &index, config);
-        assert!(empty_engine.search_top_k(&queries[0], 3).hits.is_empty());
+        let single = GraphDatabase::from_graphs(vec![queries[1].clone()]);
+        for record in [true, false] {
+            let config = config.clone().with_record_posteriors(record);
+            let engine = QueryEngine::new(&empty, &index, config.clone());
+            let outcome = engine.search(&queries[0]);
+            assert!(outcome.matches.is_empty() && outcome.posteriors.is_empty());
+            assert_eq!(outcome.stats.evaluated, 0);
+            let mut streamed = 0;
+            let stats = engine.search_streaming(&queries[0], |_, _| streamed += 1);
+            assert_eq!((streamed, stats.evaluated), (0, 0));
+            let top = engine.search_top_k(&queries[0], 3);
+            assert!(top.hits.is_empty());
+            assert_eq!(top.stats.evaluated, 0);
+
+            let engine = QueryEngine::new(&single, &index, config);
+            for query in &queries {
+                let outcome = engine.search(query);
+                let reference = engine.reference_search(query);
+                assert_eq!(outcome.matches, reference.matches);
+                if record {
+                    outcomes_identical(&outcome, &reference);
+                }
+                assert_eq!(outcome.stats.evaluated, 1);
+                let mut streamed = Vec::new();
+                engine.search_streaming(query, |id, _| streamed.push(id));
+                assert_eq!(streamed, outcome.matches);
+                for k in [1usize, 3] {
+                    let top = engine.search_top_k(query, k);
+                    hits_identical(&top.hits, &engine.top_k_reference(query, k));
+                    assert_eq!(top.stats.evaluated, 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!   contiguous array instead of gathering from four parallel vectors.
 //! - **Adaptive postings cursors** — [`PostingsCursors`] walks each query
 //!   run's postings list with a monotone cursor that is *reused across
-//!   sub-ranges* (sharded scans do O(postings) total work, not a fresh
-//!   binary search per shard) and locates each range start adaptively: a
+//!   sub-ranges* (a chunked scan does O(postings) total work, not a fresh
+//!   binary search per chunk) and locates each range start adaptively: a
 //!   few linear probes for runs dense in the range, exponential galloping
 //!   plus binary search for runs whose postings dwarf the range width. The
 //!   accumulated intersection is bit-identical to the linear reference walk
@@ -473,7 +473,7 @@ impl<'a, S: SegmentIndex> FilterCascade<'a, S> {
     /// Builds the resumable per-run cursors for stage 3. One set of cursors
     /// serves an entire ascending scan: feeding consecutive sub-ranges to
     /// [`PostingsCursors::accumulate`] walks every postings list exactly
-    /// once in total, however the scan is chunked or sharded.
+    /// once in total, however the scan is chunked.
     pub fn cursors(&self) -> PostingsCursors<'a> {
         PostingsCursors {
             runs: self
@@ -559,7 +559,7 @@ struct CursorRun<'a> {
 /// Two properties make it fast without changing a single accumulated bit:
 ///
 /// - **Cursor reuse** — each run remembers where the previous range left
-///   off, so a scan split into chunks or shards walks every postings list
+///   off, so a scan split into chunks walks every postings list
 ///   exactly once in total. The old per-range `partition_point` from index 0
 ///   cost an extra `O(runs · log postings)` per sub-range.
 /// - **Adaptive range location** — advancing a cursor to the next range

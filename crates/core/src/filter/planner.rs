@@ -26,7 +26,7 @@
 //! postings-first vs. bound-first only changes *when* the identical `u32`
 //! accumulation runs — so matches, posteriors and ranked outputs are
 //! bit-identical to the fixed pipeline (property-tested across threshold,
-//! top-k, batch, dynamic and streaming paths). The
+//! top-k, dynamic and streaming paths). The
 //! [`GbdaConfig::force_fixed_pipeline`] escape hatch bypasses the planner
 //! entirely.
 //!

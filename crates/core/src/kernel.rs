@@ -15,23 +15,23 @@
 //! A run of the driver flattens the query, then for each **part** of the
 //! view (a segment, a tombstone mask, a slot → id map) asks the planner for
 //! a schedule, builds the kernel, prepares the cutoff of the run's **mode**
-//! and scans the part's slots into the run's **lanes** (one sink, one stats
-//! block and one local posterior memo each); it then books the plans, feeds
-//! the planner and flushes the telemetry. The modes fix the cutoff and the
-//! sinks that make sense with it:
+//! and scans the part's slots, in ascending order on the calling thread,
+//! into the run's one sink, one stats block and one local posterior memo;
+//! it then books the plans, feeds the planner and flushes the telemetry.
+//! The modes fix the cutoff and the sinks that make sense with it:
 //!
 //! | mode | cutoff | sinks | public API |
 //! |---|---|---|---|
-//! | threshold γ | [`StaticPhi`] | [`CollectAll`] | `search`, `search_batch`, `search_pinned` |
+//! | threshold γ | [`StaticPhi`] | [`CollectAll`] | `search`, `search_pinned` |
 //! | threshold γ | [`StaticPhi`] | [`Subscriber`] | `search_streaming`, `search_streaming_pinned` |
-//! | rank k | [`TighteningRank`] | [`TopKSink`] | `search_top_k`, `search_top_k_batch`, `search_top_k_pinned` |
+//! | rank k | [`TighteningRank`] | [`TopKSink`] | `search_top_k`, `search_top_k_pinned` |
 //!
 //! and the engines are the two shapes a view can take:
 //!
-//! | view shape | engines | parts | lanes |
-//! |---|---|---|---|
-//! | static | [`QueryEngine`] | the [`GraphDatabase`]: unmasked, slots are ids | `config.shards` contiguous ranges on scoped threads ([`scan_shards`]); sinks concatenated or [`merge_ranked`](crate::topk::merge_ranked); streaming uses one |
-//! | dynamic | [`DynamicEngine`], [`SnapshotReader`](crate::SnapshotReader) / [`ConcurrentEngine`](crate::ConcurrentEngine) | base segment, then the [`DeltaPrefix`](crate::DeltaPrefix) under the log's read guard; both under tombstone masks, keyed by stable ids | one, so one sink — one heap, one tightening bound — spans both parts |
+//! | view shape | engines | parts |
+//! |---|---|---|
+//! | static | [`QueryEngine`] | the [`GraphDatabase`]: unmasked, slots are ids |
+//! | dynamic | [`DynamicEngine`], [`SnapshotReader`](crate::SnapshotReader) / [`ConcurrentEngine`](crate::ConcurrentEngine) | base segment, then the [`DeltaPrefix`](crate::DeltaPrefix) under the log's read guard; both under tombstone masks, keyed by stable ids — one sink (one heap, one tightening bound) spans both parts |
 //!
 //! A static database is the dynamic shape with an empty log and no
 //! tombstones; the two engines then agree on every answer and every
@@ -41,14 +41,7 @@
 //! [`TighteningRank`] never *accepts* a graph early — pairing [`TopKSink`]
 //! with a cutoff that does ([`StaticPhi`] with a non-empty accept region)
 //! violates the sink contract and panics. Every other pairing composes
-//! freely.
-//!
-//! # Parallel scaffolds
-//!
-//! The two parallel execution scaffolds also live here: [`scan_shards`]
-//! (contiguous ranges of one part spread over a run's lanes,
-//! order-preserving) and [`run_batch`] (the work-stealing per-query
-//! cursor). The canonical tie-break total order for *all* ranked results is
+//! freely. The canonical tie-break total order for *all* ranked results is
 //! defined once, by [`crate::topk::rank_order`] (posterior descending via
 //! `f64::total_cmp`, then graph id ascending).
 //!
@@ -98,11 +91,7 @@
 //! [`DynamicEngine`]: crate::DynamicEngine
 //! [`GraphDatabase`]: crate::GraphDatabase
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use gbd_graph::FlatBranchSet;
 
@@ -607,7 +596,7 @@ pub(crate) fn extended_size(fixed: Option<usize>, query_size: usize, graph_size:
 
 /// Per-query scan state over one segment: the flattened query, the filter
 /// cascade (when enabled) and the extended-size rule. Built once per
-/// (query, segment) pair and shared by every shard scanning that segment.
+/// (query, segment) pair.
 #[derive(Debug)]
 pub struct ScanKernel<'q, S: SegmentIndex> {
     segment: &'q S,
@@ -653,17 +642,16 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
         extended_size(self.fixed_extended_size, self.query_size, graph_size)
     }
 
-    /// The scan loop. Drives `range` through the cascade stages under
-    /// `cutoff`, resolving posteriors through `lookup` (signature
+    /// The scan loop. Drives every slot of the segment, in ascending
+    /// order, through the cascade stages under `cutoff`, resolving
+    /// posteriors through `lookup` (signature
     /// `(stats, extended_size, phi) -> posterior` so implementations can
     /// book cache hits/misses), and delivers survivors to `sink`.
     ///
     /// `mask(i)` returns `true` for slots to skip entirely (tombstones);
     /// `id_of(i)` maps a segment-local index to the sink's id space.
-    #[allow(clippy::too_many_arguments)]
     pub fn scan<I, C, K>(
         &self,
-        range: Range<usize>,
         cutoff: &C,
         sink: &mut K,
         stats: &mut SearchStats,
@@ -678,6 +666,7 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
         // Armed only at TelemetryLevel::MetricsAndTraces; otherwise one
         // relaxed load per scan call (not per graph).
         let _span = gbd_telemetry::span!("kernel.scan");
+        let range = 0..self.segment.segment_len();
         match &self.cascade {
             Some(cascade) => {
                 let prune = self.plan.use_bounds && cascade.bounds_usable() && cutoff.prunes();
@@ -963,69 +952,4 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
             }
         }
     }
-}
-
-/// Runs `scan` over `lanes.len()` contiguous ranges of `0..n` on scoped
-/// threads, lane `j` taking the `j`-th range (lane 0's range precedes lane
-/// 1's, so concatenating per-lane results preserves ascending scan order).
-/// A single lane runs inline. Callers clamp the lane count to
-/// `[1, max(n, 1)]`.
-pub fn scan_shards<L: Send>(
-    n: usize,
-    lanes: &mut [L],
-    scan: &(dyn Fn(Range<usize>, &mut L) + Sync),
-) {
-    if let [lane] = lanes {
-        return scan(0..n, lane);
-    }
-    let chunk = n.div_ceil(lanes.len().max(1));
-    std::thread::scope(|scope| {
-        for (s, lane) in lanes.iter_mut().enumerate() {
-            let range = n.min(s * chunk)..n.min((s + 1) * chunk);
-            scope.spawn(move || scan(range, lane));
-        }
-    });
-}
-
-/// Runs `per_item` over every item on a work-stealing pool of up to
-/// `workers` scoped threads, returning the results in item order plus the
-/// worker count actually used (`None` when the batch ran sequentially).
-///
-/// The second argument to `per_item` is the shard budget the item may use
-/// for its *own* scan: the full `workers` budget when the batch runs
-/// sequentially (one item at a time gets all threads), `1` when items run
-/// concurrently (one thread each).
-pub fn run_batch<Q: Sync, T: Send>(
-    workers: usize,
-    items: &[Q],
-    per_item: impl Fn(&Q, usize) -> T + Sync,
-) -> (Vec<T>, Option<usize>) {
-    let workers = workers.max(1);
-    if workers <= 1 || items.len() <= 1 {
-        let results = items.iter().map(|item| per_item(item, workers)).collect();
-        return (results, None);
-    }
-    let workers = workers.min(items.len());
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = cursor.fetch_add(1, Ordering::Relaxed);
-                if next >= items.len() {
-                    break;
-                }
-                let result = per_item(&items[next], 1);
-                *slots[next].lock() = Some(result);
-            });
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("every batch slot is filled by a worker")
-        })
-        .collect();
-    (results, Some(workers))
 }

@@ -12,8 +12,8 @@
 //! * [`search`] — what the online stage (Algorithm 1) returns: outcomes
 //!   and per-stage statistics,
 //! * [`engine`] — [`QueryEngine`], the online stage over an immutable
-//!   database: batch queries, shard-parallel scans, ranked and streaming
-//!   search (and the GBDA-V1/V2 variants),
+//!   database: threshold, ranked and streaming search (and the GBDA-V1/V2
+//!   variants), one scan per query on the calling thread,
 //! * [`filter`] — the candidate-pruning layer: the lower-bound filter
 //!   cascade and inverted-index count filter that resolve most graphs
 //!   without merging their branch runs,

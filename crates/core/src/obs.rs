@@ -9,9 +9,7 @@
 //! gbda_scan_rank_rejected_total + gbda_scan_postings_resolved_total +
 //! gbda_scan_merged_total == gbda_scan_evaluated_total` per run) is
 //! bit-identical to [`SearchStats::stage_partition`] by construction, and
-//! the hot loop pays nothing. Latency histograms are fed per query — also
-//! on the batch path, *before* [`SearchStats::absorb`] collapses the
-//! per-query resolution into totals.
+//! the hot loop pays nothing. Latency histograms are fed per query.
 
 use std::sync::OnceLock;
 
@@ -105,7 +103,7 @@ pub(crate) fn scan_metrics() -> &'static ScanMetrics {
             ),
             scan_seconds: g.histogram(
                 "gbda_scan_seconds",
-                "Per-query database scan latency (all shards, wall clock).",
+                "Per-query database scan latency (wall clock).",
             ),
         }
     })
@@ -113,8 +111,8 @@ pub(crate) fn scan_metrics() -> &'static ScanMetrics {
 
 /// Mirrors one finished search's [`SearchStats`] into the workspace
 /// telemetry: stage-partition counters plus the per-query latency
-/// histograms. Called once per query — including for every query of a
-/// batch, before absorption — and by the dynamic engine's segment scans.
+/// histograms. Called once per finished search by the scan driver, on
+/// behalf of every engine.
 /// No-op below [`gbd_telemetry::TelemetryLevel::Metrics`].
 pub(crate) fn record_search(stats: &SearchStats, query_seconds: f64) {
     if !metrics_enabled() {

@@ -4,9 +4,7 @@
 //!
 //! 1. the **GBD prior** `Λ2` — GBDs of `N` sampled database pairs are fitted
 //!    with a Gaussian mixture and discretised via continuity correction
-//!    (Section V-B, cost `O(N·n·d)`); the pair GBDs are computed on
-//!    `GbdaConfig::shards` scoped threads with a bit-identical result for
-//!    any shard count,
+//!    (Section V-B, cost `O(N·n·d)`),
 //! 2. the **GED prior** `Λ3` — the Jeffreys prior, one normalised column per
 //!    extended size `|V'1|` (Section V-C, cost `O(n·τ̂⁵)`).
 //!
@@ -108,12 +106,6 @@ impl OfflineIndex {
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // Step 1.1–1.4: sample pairs, compute GBDs, fit the GMM, discretise.
-        // Pair selection is sequential (it consumes the seeded RNG); the GBD
-        // computation of the selected pairs — the offline sampling
-        // bottleneck — is spread over `config.shards` scoped threads. Each
-        // worker writes a disjoint slice of the pre-sized sample buffer, so
-        // the sample order (and therefore the Λ2 fit) is bit-identical for
-        // any shard count.
         let started = Instant::now();
         let total_pairs = database.len() * (database.len() - 1) / 2;
         let sample_count = config.sample_pairs.min(total_pairs.max(1));
@@ -134,24 +126,10 @@ impl OfflineIndex {
                 .map(|p| pair_from_index(p, database.len()))
                 .collect()
         };
-        let mut samples = vec![0.0f64; pairs.len()];
-        let workers = config.shards.max(1).min(pairs.len().max(1));
-        if workers <= 1 {
-            for (slot, &(i, j)) in samples.iter_mut().zip(&pairs) {
-                *slot = database.gbd_between(i, j) as f64;
-            }
-        } else {
-            let chunk = pairs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (pair_chunk, out_chunk) in pairs.chunks(chunk).zip(samples.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (slot, &(i, j)) in out_chunk.iter_mut().zip(pair_chunk) {
-                            *slot = database.gbd_between(i, j) as f64;
-                        }
-                    });
-                }
-            });
-        }
+        let samples: Vec<f64> = pairs
+            .iter()
+            .map(|&(i, j)| database.gbd_between(i, j) as f64)
+            .collect();
         let gbd_prior = GbdPrior::fit(&samples, database.max_vertices(), &config.gmm);
         let gbd_prior_seconds = started.elapsed().as_secs_f64();
 
@@ -306,35 +284,6 @@ mod tests {
         let config = GbdaConfig::new(3, 0.8).with_sample_pairs(150);
         let index = OfflineIndex::build(&db, &config).unwrap();
         assert_eq!(index.stats().sampled_pairs, 150);
-    }
-
-    #[test]
-    fn sharded_offline_build_is_bit_identical_to_sequential() {
-        let db = small_database();
-        for sample_pairs in [100_000usize, 150] {
-            // 100k enumerates every pair, 150 samples without replacement —
-            // both paths must be deterministic across shard counts.
-            let sequential = GbdaConfig::new(4, 0.8).with_sample_pairs(sample_pairs);
-            let index_seq = OfflineIndex::build(&db, &sequential).unwrap();
-            for shards in [2usize, 3, 8, 64] {
-                let index_par =
-                    OfflineIndex::build(&db, &sequential.clone().with_shards(shards)).unwrap();
-                assert_eq!(
-                    index_seq.stats().sampled_pairs,
-                    index_par.stats().sampled_pairs
-                );
-                let a = index_seq.gbd_prior().table();
-                let b = index_par.gbd_prior().table();
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "Λ2 diverges with {shards} shards / {sample_pairs} pairs"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -15,20 +15,16 @@
 //!   [`Rank`] a [`TighteningRank`] cutoff from `k` (sink:
 //!   [`crate::TopKSink`]);
 //! * a list of **parts** ([`Run::part`]) — a [`SegmentIndex`], a tombstone
-//!   mask and a slot → id map each, scanned in call order;
-//! * one or more **lanes** — one sink, one stats block and one thread-local
-//!   posterior memo each. Every part's slots are split into contiguous
-//!   ranges, one per lane; the caller concatenates (or
-//!   [`crate::topk::merge_ranked`]s) the sinks it gets back.
+//!   mask and a slot → id map each, scanned in call order on the calling
+//!   thread into the run's one sink, one stats block and one local
+//!   posterior memo.
 //!
 //! The engines are the two view shapes over it: [`crate::QueryEngine`] scans
-//! a `&GraphDatabase` as a single unmasked identity-id part over
-//! `config.shards` lanes; the dynamic and concurrent engines scan a base
-//! part and a [`crate::DeltaPrefix`] part (under the delta log's read guard)
-//! in one lane, so one sink spans both.
+//! a `&GraphDatabase` as a single unmasked identity-id part; the dynamic and
+//! concurrent engines scan a base part and a [`crate::DeltaPrefix`] part
+//! (under the delta log's read guard), so one sink spans both.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -98,7 +94,7 @@ pub(crate) struct Target<'a> {
 
 /// The cutoff policy of a run, prepared once per part.
 pub(crate) trait Mode {
-    type Cutoff: Cutoff + Sync;
+    type Cutoff: Cutoff;
 
     fn prepare<S: SegmentIndex>(
         &self,
@@ -149,57 +145,37 @@ impl Mode for Rank {
     }
 }
 
-/// One lane of a run: a sink, its share of the counters, and the
-/// thread-local memo in front of the shared [`PosteriorCache`] that keeps
-/// the steady-state inner loop off every lock.
-pub(crate) struct Lane<K> {
-    sink: K,
-    stats: SearchStats,
-    memo: HashMap<(usize, u64), f64>,
-}
-
-/// How a part's slots reach a run's lanes: [`crate::kernel::scan_shards`]
-/// (scoped threads; needs `Send` sinks) or [`inline`].
-pub(crate) type Spread<K> = fn(usize, &mut [Lane<K>], &(dyn Fn(Range<usize>, &mut Lane<K>) + Sync));
-
-/// Scans a part on the calling thread — for single-lane runs, whose sink
-/// (a caller's streaming callback, say) need not be `Send`.
-pub(crate) fn inline<L>(n: usize, lanes: &mut [L], scan: &(dyn Fn(Range<usize>, &mut L) + Sync)) {
-    let [lane] = lanes else {
-        panic!("an inline run has exactly one lane");
-    };
-    scan(0..n, lane);
-}
-
-/// One query in flight: the flattened query and the lanes its parts fill.
+/// One query in flight: the flattened query, the sink its parts fill, the
+/// run's counters, and the run-local memo in front of the shared
+/// [`PosteriorCache`] that keeps the steady-state inner loop off every lock.
 pub(crate) struct Run<'a, M, K> {
     scanner: &'a Scanner,
     target: Target<'a>,
     mode: M,
     query_flat: FlatBranchSet,
     query_size: usize,
-    lanes: Vec<Lane<K>>,
+    sink: K,
+    stats: SearchStats,
+    memo: HashMap<(usize, u64), f64>,
 }
 
 impl<M: Mode, K> Run<'_, M, K> {
-    /// Scans one part into the lanes. `mask(slot)` is `true` for tombstoned
-    /// slots, `id_of(slot)` maps a slot to the sinks' id space. Per-graph
+    /// Scans one part into the sink. `mask(slot)` is `true` for tombstoned
+    /// slots, `id_of(slot)` maps a slot to the sink's id space. Per-graph
     /// results are independent of the neighbours, so skipping masked slots
     /// cannot change the survivors' values.
     ///
-    /// Lane `j` takes the `j`-th contiguous range of every part, so sinks
-    /// come back in ascending scan order when the run has one lane or one
-    /// part — the two shapes the engines use. Ranked sinks rely on that
-    /// order too: a heap's strict admission bound is only sound because a
-    /// later candidate loses posterior ties against earlier kept hits.
+    /// Slots are scanned in ascending order, part after part. Ranked sinks
+    /// rely on that order: a heap's strict admission bound is only sound
+    /// because a later candidate loses posterior ties against earlier kept
+    /// hits.
     pub(crate) fn part<S, I>(
         &mut self,
         segment: &S,
-        mask: impl Fn(usize) -> bool + Sync,
-        id_of: impl Fn(usize) -> I + Sync,
-        spread: Spread<K>,
+        mask: impl Fn(usize) -> bool,
+        id_of: impl Fn(usize) -> I,
     ) where
-        S: SegmentIndex + Sync,
+        S: SegmentIndex,
         I: Copy,
         K: Sink<I>,
     {
@@ -217,21 +193,17 @@ impl<M: Mode, K> Run<'_, M, K> {
             plan.unwrap_or_else(QueryPlan::fixed),
         );
         let cutoff = self.mode.prepare(scanner, &self.target, &kernel);
-        let n = segment.segment_len();
-        spread(n, &mut self.lanes, &|range, lane| {
-            let Lane { sink, stats, memo } = lane;
-            kernel.scan(
-                range,
-                &cutoff,
-                sink,
-                stats,
-                &mask,
-                &id_of,
-                |stats, extended_size, phi| scanner.lookup(index, memo, stats, extended_size, phi),
-            );
-        });
-        if let (Some(plan), true) = (plan, n > 0) {
-            Planner::book(plan, &mut self.lanes[0].stats);
+        let memo = &mut self.memo;
+        kernel.scan(
+            &cutoff,
+            &mut self.sink,
+            &mut self.stats,
+            mask,
+            id_of,
+            |stats, extended_size, phi| scanner.lookup(index, memo, stats, extended_size, phi),
+        );
+        if let (Some(plan), true) = (plan, segment.segment_len() > 0) {
+            Planner::book(plan, &mut self.stats);
         }
     }
 }
@@ -317,7 +289,7 @@ impl Scanner {
         })
     }
 
-    /// Memoized posterior lookup through a lane's local memo in front of the
+    /// Memoized posterior lookup through a run's local memo in front of the
     /// shared cache, booking the hit or miss.
     fn lookup(
         &self,
@@ -343,18 +315,18 @@ impl Scanner {
     }
 
     /// Runs one query: flattens it with `flatten`, lets `parts` scan the
-    /// view's parts into one lane per sink, then books the totals with the
-    /// planner and the telemetry registry. Returns the sinks in lane order,
-    /// the run's stats (`shards` = lanes) and its wall-clock seconds.
+    /// view's parts into `sink`, then books the totals with the planner and
+    /// the telemetry registry. Returns the sink, the run's stats and its
+    /// wall-clock seconds.
     pub(crate) fn run<M: Mode, K>(
         &self,
         target: Target<'_>,
         query: &Graph,
         flatten: impl FnOnce(&BranchMultiset) -> FlatBranchSet,
         mode: M,
-        sinks: Vec<K>,
+        sink: K,
         parts: impl FnOnce(&mut Run<'_, M, K>),
-    ) -> (Vec<K>, SearchStats, f64) {
+    ) -> (K, SearchStats, f64) {
         let started = Instant::now();
         let _span = gbd_telemetry::Span::enter(target.span);
         let mut run = Run {
@@ -363,28 +335,16 @@ impl Scanner {
             mode,
             query_flat: flatten(&BranchMultiset::from_graph(query)),
             query_size: query.vertex_count(),
-            lanes: sinks
-                .into_iter()
-                .map(|sink| Lane {
-                    sink,
-                    stats: SearchStats::default(),
-                    memo: HashMap::new(),
-                })
-                .collect(),
+            sink,
+            stats: SearchStats::default(),
+            memo: HashMap::new(),
         };
         let flatten_seconds = started.elapsed().as_secs_f64();
         let scan_started = Instant::now();
         parts(&mut run);
-        let mut stats = SearchStats::default();
-        let sinks: Vec<K> = run
-            .lanes
-            .into_iter()
-            .map(|lane| {
-                stats.absorb(&lane.stats);
-                lane.sink
-            })
-            .collect();
-        stats.shards = sinks.len();
+        let Run {
+            sink, mut stats, ..
+        } = run;
         stats.flatten_seconds = flatten_seconds;
         stats.scan_seconds = scan_started.elapsed().as_secs_f64();
         if !self.config.force_fixed_pipeline {
@@ -392,118 +352,6 @@ impl Scanner {
         }
         let seconds = started.elapsed().as_secs_f64();
         crate::obs::record_search(&stats, seconds);
-        (sinks, stats, seconds)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::database::GraphDatabase;
-    use crate::kernel::{scan_shards, CollectAll, TopKSink};
-    use crate::topk::merge_ranked;
-    use gbd_graph::{GeneratorConfig, LabelAlphabets};
-
-    /// Sizes spread far enough apart that the bound stages decide graphs,
-    /// and a copy of graph 13 at the very end so it matches in both halves.
-    fn setup() -> (GraphDatabase, OfflineIndex, GbdaConfig) {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut graphs = Vec::new();
-        for size in [8usize, 16, 24, 32] {
-            let generator =
-                GeneratorConfig::new(size, 2.2).with_alphabets(LabelAlphabets::new(6, 3));
-            graphs.extend(generator.generate_many(12, &mut rng).unwrap());
-        }
-        graphs.push(graphs[13].clone());
-        let database = GraphDatabase::from_graphs(graphs);
-        let config = GbdaConfig::new(4, 0.8).with_sample_pairs(300);
-        let index = OfflineIndex::build(&database, &config).unwrap();
-        (database, index, config)
-    }
-
-    /// One run over `database` as a single unmasked part, one lane per sink.
-    fn run<M: Mode, K: Sink<usize> + Send>(
-        scanner: &Scanner,
-        (database, index): (&GraphDatabase, &OfflineIndex),
-        query: &Graph,
-        mode: M,
-        sinks: Vec<K>,
-    ) -> (Vec<K>, SearchStats) {
-        let target = Target {
-            span: "test.run",
-            index,
-            fixed_extended_size: None,
-            max_vertices: database.max_vertices(),
-            candidates: database.len(),
-        };
-        let flatten = |branches: &BranchMultiset| database.catalog().flatten_lookup(branches);
-        let (sinks, stats, _) = scanner.run(target, query, flatten, mode, sinks, |run| {
-            run.part(database, |_| false, |slot| slot, scan_shards)
-        });
-        (sinks, stats)
-    }
-
-    /// Two lanes over one part equal one lane: concatenated matches and
-    /// posteriors in database order, `merge_ranked` hits, summed counters.
-    #[test]
-    fn two_lanes_over_one_part_equal_one_lane() {
-        let (database, index, config) = setup();
-        let view = (&database, &index);
-        let query = database.graph(13).clone();
-        for record in [true, false] {
-            let config = config.clone().with_record_posteriors(record);
-            // One scanner per lane count, with the same history: a warm-up
-            // run fills the posterior memo (so no lane can miss) and feeds
-            // both planners the same observation.
-            let scan = |lanes: usize| {
-                let scanner = Scanner::new(config.clone());
-                run(
-                    &scanner,
-                    view,
-                    &query,
-                    Threshold,
-                    vec![CollectAll::new(record)],
-                );
-                let sinks = (0..lanes).map(|_| CollectAll::new(record)).collect();
-                let (sinks, stats) = run(&scanner, view, &query, Threshold, sinks);
-                let ranked = (0..lanes).map(|_| TopKSink::new(5)).collect();
-                let (ranked, ranked_stats) = run(&scanner, view, &query, Rank(5), ranked);
-                (sinks, stats, ranked, ranked_stats)
-            };
-            let (one, one_stats, one_ranked, one_ranked_stats) = scan(1);
-            let (two, two_stats, two_ranked, two_ranked_stats) = scan(2);
-
-            let matches = |sinks: &[CollectAll<usize>]| -> Vec<usize> {
-                sinks.iter().flat_map(|s| s.matches.clone()).collect()
-            };
-            let posteriors = |sinks: &[CollectAll<usize>]| -> Vec<u64> {
-                let all = sinks.iter().flat_map(|s| s.posteriors.iter());
-                all.map(|p| p.to_bits()).collect()
-            };
-            assert!(!matches(&one).is_empty());
-            assert!(!two[0].matches.is_empty() && !two[1].matches.is_empty());
-            assert!(two[0].matches.last() < two[1].matches.first(), "lane order");
-            assert_eq!(matches(&two), matches(&one), "record={record}");
-            assert_eq!(posteriors(&two), posteriors(&one), "record={record}");
-            assert_eq!((one_stats.shards, two_stats.shards), (1, 2));
-            assert_eq!(one_stats.cache_misses, 0, "the warm-up filled the memo");
-            let comparable = |mut stats: SearchStats| {
-                (stats.shards, stats.flatten_seconds, stats.scan_seconds) = (0, 0.0, 0.0);
-                stats
-            };
-            assert_eq!(
-                comparable(two_stats),
-                comparable(one_stats),
-                "summed counters"
-            );
-
-            let hits = |sinks: Vec<TopKSink<usize>>| {
-                merge_ranked(sinks.into_iter().map(TopKSink::into_sorted_hits), 5)
-            };
-            assert_eq!(hits(two_ranked), hits(one_ranked), "record={record}");
-            // Each lane's heap tightens on its own, so only the totals match.
-            assert_eq!(two_ranked_stats.evaluated, one_ranked_stats.evaluated);
-            assert_eq!(two_ranked_stats.stage_partition(), database.len());
-        }
+        (sink, stats, seconds)
     }
 }

@@ -8,19 +8,17 @@
 //!    `(|V'1|, ϕ)` by the engine's [`crate::PosteriorCache`],
 //! 3. report `G` when `Φ ≥ γ`.
 //!
-//! [`crate::QueryEngine`] runs it (with batch execution and sharded scans);
-//! this module holds what a search returns. The two ablation variants of
-//! Section VII-D (GBDA-V1 and GBDA-V2) are handled by the engine by swapping
-//! the extended size or the branch distance fed into the model.
+//! [`crate::QueryEngine`] runs it over an immutable database, one scan per
+//! query; this module holds what a search returns. The two ablation
+//! variants of Section VII-D (GBDA-V1 and GBDA-V2) are handled by the engine
+//! by swapping the extended size or the branch distance fed into the model.
 
 /// Per-stage execution statistics of one search.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
-    /// Number of database shards the scan actually used.
-    pub shards: usize,
     /// Seconds spent extracting and flattening the query's branches.
     pub flatten_seconds: f64,
-    /// Seconds spent scanning the database (all shards, wall clock).
+    /// Seconds spent scanning the database (wall clock).
     pub scan_seconds: f64,
     /// Posterior lookups answered from the memo.
     pub cache_hits: usize,
@@ -80,7 +78,7 @@ impl SearchStats {
     /// The full stage partition of a scan: every evaluated graph is decided
     /// by exactly one cascade stage or merged, so this always equals
     /// [`Self::evaluated`](SearchStats::evaluated) — on threshold, ranked,
-    /// batch and dynamic scans alike (see [`crate::kernel`]).
+    /// streaming and dynamic scans alike (see [`crate::kernel`]).
     pub fn stage_partition(&self) -> usize {
         self.bound_rejected
             + self.bound_accepted
@@ -89,24 +87,18 @@ impl SearchStats {
             + self.merged
     }
 
-    /// Sums another search's counters and timings into this one (used to
-    /// aggregate batch statistics). Field semantics under absorption:
-    ///
-    /// * **summed** — every pruning/cache/planner counter
-    ///   (`cache_hits` … `plan_postings_first`) *and* both timings:
-    ///   `flatten_seconds` and `scan_seconds` become total work across the
-    ///   absorbed searches, not wall clock;
-    /// * **max'd** — `shards` keeps the maximum observed (absorbing
-    ///   per-shard or per-query stats must not sum thread counts).
+    /// Sums another search's counters and timings into this one, to total
+    /// a sequence of searches. Every field is summed: each pruning, cache
+    /// and planner counter (`cache_hits` … `plan_postings_first`) and both
+    /// timings, so `flatten_seconds` and `scan_seconds` become total work
+    /// across the absorbed searches.
     ///
     /// Absorption deliberately collapses the per-query latency
     /// distribution into totals. The per-query resolution survives in the
     /// workspace telemetry histograms (`gbda_query_seconds`,
     /// `gbda_flatten_seconds`, `gbda_scan_seconds` in the `gbd-telemetry`
-    /// crate), which every search — batch items included — feeds before
-    /// its stats are absorbed.
+    /// crate), which every search feeds when it finishes.
     pub fn absorb(&mut self, other: &SearchStats) {
-        self.shards = self.shards.max(other.shards);
         self.flatten_seconds += other.flatten_seconds;
         self.scan_seconds += other.scan_seconds;
         self.cache_hits += other.cache_hits;
@@ -181,7 +173,6 @@ mod tests {
         assert_eq!(outcome.posteriors.len(), database.len());
         assert!(outcome.seconds >= 0.0);
         assert_eq!(outcome.stats.evaluated, database.len());
-        assert_eq!(outcome.stats.shards, 1);
     }
 
     #[test]

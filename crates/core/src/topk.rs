@@ -6,10 +6,9 @@
 //! total order, [`rank_order`]: higher posterior first (compared bitwise via
 //! [`f64::total_cmp`] so results are reproducible), ties broken by
 //! **ascending graph id**. Every ranked path in the workspace — the bounded
-//! heap of a scan, the deterministic merge of per-shard heaps, the
-//! sort-truncate reference of [`rank_by_posterior`] — uses this order and
-//! nothing else, which is what makes sharded, batched and dynamic top-k
-//! bit-identical to "scan everything, sort, truncate".
+//! heap of a scan, the sort-truncate reference of [`rank_by_posterior`] —
+//! uses this order and nothing else, which is what makes static, dynamic
+//! and pinned top-k bit-identical to "scan everything, sort, truncate".
 //!
 //! [`TopKHeap`] keeps the `k` best hits seen so far; once full, its worst
 //! kept posterior is the *running rank bound* the engines feed back into the
@@ -198,21 +197,6 @@ impl<I: Ord + Copy> TopKHeap<I> {
     }
 }
 
-/// Deterministically merges per-shard ranked results: concatenate, re-sort
-/// under [`rank_order`], truncate to `k`. Each shard keeps its own local top
-/// `k`, and the global top `k` is a subset of the union of the local ones
-/// (at most `k` winners can come from any single shard), so the merge is
-/// exact.
-pub fn merge_ranked<I: Ord + Copy>(
-    shards: impl IntoIterator<Item = Vec<RankedHit<I>>>,
-    k: usize,
-) -> Vec<RankedHit<I>> {
-    let mut all: Vec<RankedHit<I>> = shards.into_iter().flatten().collect();
-    all.sort_by(rank_order);
-    all.truncate(k);
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,33 +280,5 @@ mod tests {
         assert_eq!(hits[2].id, 1);
         assert!(rank_by_posterior(&[], 4).is_empty());
         assert_eq!(rank_by_posterior(&[0.3, 0.1], 0), Vec::new());
-    }
-
-    #[test]
-    fn shard_merge_equals_the_global_sort() {
-        let posteriors = [0.3, 0.9, 0.1, 0.9, 0.5, 0.7, 0.2, 0.9, 0.4];
-        for k in [1usize, 3, 5, 9, 20] {
-            for split in [3usize, 4, 8] {
-                let mut shards = Vec::new();
-                for chunk_start in (0..posteriors.len()).step_by(split) {
-                    let mut heap = TopKHeap::new(k);
-                    let chunk_end = (chunk_start + split).min(posteriors.len());
-                    for (id, &p) in posteriors
-                        .iter()
-                        .enumerate()
-                        .take(chunk_end)
-                        .skip(chunk_start)
-                    {
-                        heap.push(hit(id, p));
-                    }
-                    shards.push(heap.into_sorted_hits());
-                }
-                assert_eq!(
-                    merge_ranked(shards, k),
-                    rank_by_posterior(&posteriors, k),
-                    "k = {k}, split = {split}"
-                );
-            }
-        }
     }
 }

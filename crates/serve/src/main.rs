@@ -35,7 +35,8 @@ struct Options {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line after the program name.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut options = Options {
         addr: "127.0.0.1:7878".into(),
         threads: 4,
@@ -46,7 +47,7 @@ fn parse_args() -> Result<Options, String> {
         compact_threshold: 256,
         smoke: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
@@ -74,9 +75,16 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e: std::num::ParseIntError| e.to_string())?
             }
             "--gamma" => {
-                options.gamma = value("--gamma")?
+                let gamma: f64 = value("--gamma")?
                     .parse()
-                    .map_err(|e: std::num::ParseFloatError| e.to_string())?
+                    .map_err(|e: std::num::ParseFloatError| format!("--gamma: {e}"))?;
+                // Also rejects NaN, for which every comparison is false.
+                if !(0.0..=1.0).contains(&gamma) {
+                    return Err(format!(
+                        "--gamma must be a probability in [0, 1], got {gamma}"
+                    ));
+                }
+                options.gamma = gamma;
             }
             "--compact-threshold" => {
                 options.compact_threshold = value("--compact-threshold")?
@@ -214,7 +222,7 @@ fn smoke(addr: std::net::SocketAddr) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut options = match parse_args() {
+    let mut options = match parse_args(std::env::args().skip(1)) {
         Ok(options) => options,
         Err(message) => {
             eprintln!("error: {message}");
@@ -271,4 +279,25 @@ fn main() -> ExitCode {
     eprintln!("# shutdown requested; draining");
     server.shutdown();
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn gamma(value: &str) -> Result<f64, String> {
+        parse_args(["--gamma".to_owned(), value.to_owned()]).map(|options| options.gamma)
+    }
+
+    #[test]
+    fn gamma_must_be_a_probability() {
+        for bad in ["NaN", "inf", "-0.1", "1.5"] {
+            let error = gamma(bad).expect_err(bad);
+            assert!(error.contains("--gamma"), "{bad}: {error}");
+        }
+        assert!(gamma("0.x").expect_err("not a number").contains("--gamma"));
+        for good in ["0", "0.8", "1"] {
+            assert_eq!(gamma(good), Ok(good.parse().unwrap()), "{good}");
+        }
+    }
 }

@@ -10,8 +10,8 @@
 //! * **Metrics** — named [`Counter`]s, [`Gauge`]s and log-bucketed latency
 //!   [`Histogram`]s (fixed ~2×-spaced buckets from 100 ns to 10 s). All
 //!   increments are wait-free `fetch_add`s on thread-sharded,
-//!   cache-line-padded atomics, so the `QueryEngine`'s scan shards never
-//!   contend.
+//!   cache-line-padded atomics, so concurrent searches (one per serving
+//!   thread) never contend.
 //! * **Traces** — [`Span`] guards ([`span!`]`("scan.stage3")`-style)
 //!   recording start/duration plus structured `key = value` events into a
 //!   lock-free fixed-capacity ring ([`TraceBuffer`]) that overwrites the

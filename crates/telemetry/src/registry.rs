@@ -3,8 +3,8 @@
 //!
 //! Every instrument is a cheap cloneable handle over shared atomic state.
 //! Increments are wait-free (`fetch_add` on a thread-sharded slot — no
-//! compare-and-swap loop, no lock) so the `QueryEngine`'s scan shards never
-//! contend on a cache line. The registry's lock is taken only on
+//! compare-and-swap loop, no lock) so concurrent searches never contend on
+//! a cache line. The registry's lock is taken only on
 //! registration and on read-side operations (snapshots, rendering), never
 //! on the increment path.
 

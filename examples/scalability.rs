@@ -5,8 +5,7 @@
 //! roughly linearly with the graph size while the LSAP baseline grows
 //! cubically. This example sweeps the graph size (a laptop-scale version of
 //! Figure 8) and prints the average per-query time of the GBDA query engine
-//! (sequential and with a 4-shard scan) and of the Greedy-Sort baseline
-//! (the cheapest competitor).
+//! and of the Greedy-Sort baseline (the cheapest competitor).
 //!
 //! ```bash
 //! cargo run --release --example scalability
@@ -20,7 +19,7 @@ fn main() {
     let sizes = [200usize, 400, 800, 1600];
     let tau_hat = 10u64;
 
-    println!("graph size | GBDA (s/query) | GBDA 4 shards (s/query) | greedysort (s/query)");
+    println!("graph size | GBDA (s/query) | greedysort (s/query)");
     for &n in &sizes {
         let config = SyntheticConfig {
             graphs_per_subset: 6,
@@ -34,8 +33,7 @@ fn main() {
 
         let gbda_config = GbdaConfig::new(tau_hat, 0.7).with_sample_pairs(30);
         let index = OfflineIndex::build(&database, &gbda_config).expect("offline stage builds");
-        let gbda = QueryEngine::new(&database, &index, gbda_config.clone());
-        let sharded = QueryEngine::new(&database, &index, gbda_config.with_shards(4));
+        let gbda = QueryEngine::new(&database, &index, gbda_config);
         let greedy = EstimatorSearcher::new(&database, GreedyGed, tau_hat as f64);
 
         let time_per_query = |searcher: &dyn SimilaritySearcher| -> f64 {
@@ -47,9 +45,8 @@ fn main() {
         };
 
         let gbda_time = time_per_query(&gbda);
-        let sharded_time = time_per_query(&sharded);
         let greedy_time = time_per_query(&greedy);
-        println!("{n:10} | {gbda_time:14.4} | {sharded_time:23.4} | {greedy_time:19.4}");
+        println!("{n:10} | {gbda_time:14.4} | {greedy_time:19.4}");
     }
     println!(
         "(GBDA should scale close to linearly; the assignment baseline degrades much faster.)"

@@ -53,10 +53,9 @@
 //! assert!(top.hits.iter().any(|hit| hit.id == 3));
 //! ```
 //!
-//! For batch workloads, [`prelude::QueryEngine`] also has `search_batch` /
-//! `search_top_k_batch` and shard-parallel scans (`GbdaConfig::with_shards`);
-//! see the crate README's "Query engine architecture" and "Ranked queries"
-//! sections.
+//! Every search is one scan on the calling thread; [`prelude::QueryEngine`]
+//! also streams hits as it finds them (`search_streaming`). See the crate
+//! README's "Query engine architecture" and "Ranked queries" sections.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

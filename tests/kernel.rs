@@ -7,8 +7,8 @@
 //!    stage of the kernel, so
 //!    `bound_rejected + bound_accepted + rank_rejected + postings_resolved +
 //!    merged == evaluated` ([`SearchStats::stage_partition`]) on every
-//!    instantiation: threshold, top-k, batch, dynamic base+delta and
-//!    streaming, at every shard count.
+//!    instantiation — threshold, top-k, dynamic base+delta and streaming —
+//!    and on the totals of a batch of queries.
 //!
 //! 2. **Streaming ≡ collecting** — the `Subscriber` sink's callback sequence
 //!    yields exactly the hit set (and, in record mode, the posterior bits) of
@@ -85,7 +85,7 @@ fn assert_partition(stats: &SearchStats, expected_evaluated: usize, context: &st
     );
 }
 
-/// Threshold scans: every mode × shard count partitions exactly.
+/// Threshold scans: every mode partitions exactly.
 #[test]
 fn stage_partition_holds_for_threshold_scans() {
     let database = GraphDatabase::from_graphs(mixed_graphs(0xA0, 5));
@@ -94,19 +94,13 @@ fn stage_partition_holds_for_threshold_scans() {
     let index = OfflineIndex::build(&database, &base).unwrap();
     let query = database.graph(2).clone();
     for (context, mode) in all_modes(&base) {
-        for shards in [1usize, 2, 4] {
-            let engine = QueryEngine::new(&database, &index, mode.clone().with_shards(shards));
-            let outcome = engine.search(&query);
-            assert_partition(
-                &outcome.stats,
-                n,
-                &format!("threshold {context} shards={shards}"),
-            );
-        }
+        let engine = QueryEngine::new(&database, &index, mode);
+        let outcome = engine.search(&query);
+        assert_partition(&outcome.stats, n, &format!("threshold {context}"));
     }
 }
 
-/// Ranked scans: every mode × shard count × k partitions exactly.
+/// Ranked scans: every mode × k partitions exactly.
 #[test]
 fn stage_partition_holds_for_ranked_scans() {
     let database = GraphDatabase::from_graphs(mixed_graphs(0xB1, 5));
@@ -115,43 +109,35 @@ fn stage_partition_holds_for_ranked_scans() {
     let index = OfflineIndex::build(&database, &base).unwrap();
     let query = database.graph(0).clone();
     for (context, mode) in all_modes(&base) {
-        for shards in [1usize, 2, 4] {
-            let engine = QueryEngine::new(&database, &index, mode.clone().with_shards(shards));
-            for k in [1usize, 5, n, n + 7] {
-                let outcome = engine.search_top_k(&query, k);
-                assert_partition(
-                    &outcome.stats,
-                    n,
-                    &format!("top-{k} {context} shards={shards}"),
-                );
-            }
+        let engine = QueryEngine::new(&database, &index, mode);
+        for k in [1usize, 5, n, n + 7] {
+            let outcome = engine.search_top_k(&query, k);
+            assert_partition(&outcome.stats, n, &format!("top-{k} {context}"));
         }
     }
 }
 
-/// Batch scans: per-query stats and the absorbed batch totals both partition.
+/// A batch of queries on one engine, one scan each: every query's stats and
+/// the totals [`SearchStats::absorb`] sums from them both partition.
 #[test]
 fn stage_partition_holds_for_batch_scans() {
     let database = GraphDatabase::from_graphs(mixed_graphs(0xC2, 4));
     let n = database.len();
-    let config = GbdaConfig::new(4, 0.7)
-        .with_sample_pairs(150)
-        .with_seed(13)
-        .with_shards(3);
+    let config = GbdaConfig::new(4, 0.7).with_sample_pairs(150).with_seed(13);
     let index = OfflineIndex::build(&database, &config).unwrap();
     let engine = QueryEngine::new(&database, &index, config);
     let queries: Vec<Graph> = (0..4).map(|i| database.graph(i * 2).clone()).collect();
 
-    let (outcomes, totals) = engine.search_batch_with_stats(&queries);
-    for (q, outcome) in outcomes.iter().enumerate() {
-        assert_partition(&outcome.stats, n, &format!("batch threshold query {q}"));
+    let (mut totals, mut ranked_totals) = (SearchStats::default(), SearchStats::default());
+    for (q, query) in queries.iter().enumerate() {
+        let stats = engine.search(query).stats;
+        assert_partition(&stats, n, &format!("batch threshold query {q}"));
+        totals.absorb(&stats);
+        let stats = engine.search_top_k(query, 5).stats;
+        assert_partition(&stats, n, &format!("batch top-k query {q}"));
+        ranked_totals.absorb(&stats);
     }
     assert_partition(&totals, n * queries.len(), "batch threshold totals");
-
-    let (ranked, ranked_totals) = engine.search_top_k_batch_with_stats(&queries, 5);
-    for (q, outcome) in ranked.iter().enumerate() {
-        assert_partition(&outcome.stats, n, &format!("batch top-k query {q}"));
-    }
     assert_partition(&ranked_totals, n * queries.len(), "batch top-k totals");
 }
 
@@ -213,9 +199,9 @@ fn stage_partition_holds_for_streaming_scans() {
 
 /// `QueryEngine` over `D` (one unmasked part) and `DynamicEngine` over
 /// `DynamicDatabase::new(D)` (base part + empty delta part, no tombstones)
-/// are the same driver in its two view shapes: at one shard they return the
-/// same ids, matches, posterior bits and ranked hits, and `SearchStats`
-/// equal field for field once the wall-clock fields are zeroed — for
+/// are the same driver in its two view shapes: they return the same ids,
+/// matches, posterior bits and ranked hits, and `SearchStats` equal field
+/// for field once the wall-clock fields are zeroed — for
 /// threshold, top-k and streaming, in every mode. Both engines see the same
 /// query sequence, so their planners and posterior memos evolve in step.
 #[test]

@@ -1,8 +1,7 @@
-//! Equivalence guarantees of the query engine's execution modes: sharded
-//! scans, batch execution, the threshold fast path and the filter cascade
-//! must return exactly the results of the seed-faithful sequential scan,
-//! for the standard estimator and for both ablation variants (GBDA-V1,
-//! GBDA-V2).
+//! Equivalence guarantees of the query engine's execution modes: the
+//! driver's scan, the threshold fast path and the filter cascade must
+//! return exactly the results of the seed-faithful sequential scan, for the
+//! standard estimator and for both ablation variants (GBDA-V1, GBDA-V2).
 
 use gbda::prelude::*;
 use rand::SeedableRng;
@@ -42,43 +41,26 @@ fn check_variant(variant: GbdaVariant, label: &str) {
         .with_variant(variant);
     let index = OfflineIndex::build(&database, &config).unwrap();
 
-    let sequential = QueryEngine::new(&database, &index, config.clone());
-    let sharded = QueryEngine::new(&database, &index, config.clone().with_shards(4));
+    let engine = QueryEngine::new(&database, &index, config);
 
-    // Per-query: sharded scan ≡ sequential scan ≡ seed reference scan.
+    // Per query, in sequence on one engine (warm memo, adapting planner):
+    // the driver's scan ≡ the seed reference scan.
     for (qi, query) in queries.iter().enumerate() {
-        let reference = sequential.reference_search(query);
         assert_outcomes_identical(
-            &sequential.search(query),
-            &reference,
-            &format!("{label}, sequential vs reference, query {qi}"),
-        );
-        assert_outcomes_identical(
-            &sharded.search(query),
-            &reference,
-            &format!("{label}, sharded vs reference, query {qi}"),
-        );
-    }
-
-    // Batch: order preserved, outcomes identical to per-query search.
-    let batch = sharded.search_batch(&queries);
-    assert_eq!(batch.len(), queries.len());
-    for (qi, (query, outcome)) in queries.iter().zip(&batch).enumerate() {
-        assert_outcomes_identical(
-            outcome,
-            &sequential.search(query),
-            &format!("{label}, batch vs sequential, query {qi}"),
+            &engine.search(query),
+            &engine.reference_search(query),
+            &format!("{label}, search vs reference, query {qi}"),
         );
     }
 }
 
 #[test]
-fn sharded_and_batch_execution_match_sequential_for_standard_gbda() {
+fn search_matches_the_reference_scan_for_standard_gbda() {
     check_variant(GbdaVariant::Standard, "standard");
 }
 
 #[test]
-fn sharded_and_batch_execution_match_sequential_for_variant_v1() {
+fn search_matches_the_reference_scan_for_variant_v1() {
     check_variant(
         GbdaVariant::AverageExtendedSize { sample_graphs: 8 },
         "V1(α=8)",
@@ -86,7 +68,7 @@ fn sharded_and_batch_execution_match_sequential_for_variant_v1() {
 }
 
 #[test]
-fn sharded_and_batch_execution_match_sequential_for_variant_v2() {
+fn search_matches_the_reference_scan_for_variant_v2() {
     check_variant(GbdaVariant::WeightedGbd { weight: 0.5 }, "V2(w=0.5)");
 }
 
@@ -106,11 +88,7 @@ fn threshold_fast_path_matches_recorded_scan_for_all_variants() {
             .with_variant(variant);
         let index = OfflineIndex::build(&database, &config).unwrap();
         let recording = QueryEngine::new(&database, &index, config.clone());
-        let fast = QueryEngine::new(
-            &database,
-            &index,
-            config.with_record_posteriors(false).with_shards(2),
-        );
+        let fast = QueryEngine::new(&database, &index, config.with_record_posteriors(false));
         for (qi, query) in queries.iter().enumerate() {
             let a = recording.search(query);
             let b = fast.search(query);
@@ -165,14 +143,14 @@ fn filter_cascade_is_bit_identical_to_the_merge_scan_for_all_variants() {
 }
 
 #[test]
-fn cascade_stage_counters_partition_sharded_and_batch_scans() {
+fn cascade_stage_counters_partition_scans_and_batch_totals() {
     let (queries, database) = workload();
     let config = GbdaConfig::new(4, 0.7)
         .with_sample_pairs(300)
-        .with_record_posteriors(false)
-        .with_shards(4);
+        .with_record_posteriors(false);
     let index = OfflineIndex::build(&database, &config).unwrap();
     let engine = QueryEngine::new(&database, &index, config);
+    let mut batch_stats = SearchStats::default();
     for query in &queries {
         let stats = engine.search(query).stats;
         assert_eq!(
@@ -180,9 +158,8 @@ fn cascade_stage_counters_partition_sharded_and_batch_scans() {
             database.len(),
             "stage counters must partition the scan"
         );
+        batch_stats.absorb(&stats);
     }
-    let (outcomes, batch_stats) = engine.search_batch_with_stats(&queries);
-    assert_eq!(outcomes.len(), queries.len());
     assert_eq!(
         batch_stats.skipped_merges() + batch_stats.merged,
         database.len() * queries.len(),
@@ -194,9 +171,7 @@ fn cascade_stage_counters_partition_sharded_and_batch_scans() {
 #[test]
 fn search_stats_account_for_every_database_graph() {
     let (queries, database) = workload();
-    let config = GbdaConfig::new(3, 0.8)
-        .with_sample_pairs(300)
-        .with_shards(3);
+    let config = GbdaConfig::new(3, 0.8).with_sample_pairs(300);
     let index = OfflineIndex::build(&database, &config).unwrap();
     let engine = QueryEngine::new(&database, &index, config);
     let outcome = engine.search(&queries[0]);
@@ -205,6 +180,5 @@ fn search_stats_account_for_every_database_graph() {
         outcome.stats.cache_hits + outcome.stats.cache_misses,
         database.len()
     );
-    assert_eq!(outcome.stats.shards, 3);
     assert!(outcome.stats.scan_seconds >= 0.0);
 }

@@ -13,7 +13,7 @@
 //! 2. **Planner neutrality** — the stats-driven stage planner changes only
 //!    the work schedule: threshold, top-k, streaming and dynamic searches
 //!    return bit-identical results with the planner on vs.
-//!    `force_fixed_pipeline`, at shard counts 1/2/4, from cold priors and
+//!    `force_fixed_pipeline`, from cold priors and
 //!    from a warmed steady-state profile alike — and the stage partition
 //!    (`SearchStats::stage_partition`) holds under every schedule.
 
@@ -42,7 +42,7 @@ fn adversarial_graphs(seed: u64, count: usize, labels: u32, sizes: &[usize]) -> 
 }
 
 /// Splits `0..n` into ascending, non-overlapping chunks with random widths —
-/// the shape a sharded or superchunked scan feeds the cursors.
+/// the shape a superchunked scan feeds the cursors.
 fn random_chunking(n: usize, rng: &mut StdRng) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
     let mut start = 0;
@@ -82,8 +82,8 @@ proptest! {
         let linear = cascade.intersections_linear(0..n);
         prop_assert_eq!(&cascade.intersections(0..n), &linear, "whole-range accumulation diverges");
 
-        // One cursor set fed ascending random chunks — the sharded /
-        // superchunked access pattern.
+        // One cursor set fed ascending random chunks — the superchunked
+        // access pattern.
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
         for _ in 0..3 {
             let mut cursors = cascade.cursors();
@@ -101,8 +101,7 @@ proptest! {
     }
 
     /// Planner-scheduled searches are bit-identical to the fixed pipeline on
-    /// every path × shard count, and every schedule keeps the stage
-    /// partition exact.
+    /// every path, and every schedule keeps the stage partition exact.
     #[test]
     fn planner_schedules_are_result_neutral(
         seed in 0u64..10_000,
@@ -115,57 +114,54 @@ proptest! {
         let index = OfflineIndex::build(&database, &config).unwrap();
         let query = database.graph((seed % n as u64) as usize).clone();
 
-        for shards in [1usize, 2, 4] {
-            let planned = config.clone().with_shards(shards);
-            let fixed = planned.clone().with_force_fixed_pipeline(true);
-            let planner_engine = QueryEngine::new(&database, &index, planned);
-            let fixed_engine = QueryEngine::new(&database, &index, fixed);
-            // Warm the planner past its prior phase so both the cold and
-            // steady-state schedules are compared against the fixed run.
-            for round in 0..10 {
-                let outcome = planner_engine.search(&query);
-                let reference = fixed_engine.search(&query);
-                prop_assert_eq!(
-                    &outcome.matches, &reference.matches,
-                    "threshold matches diverge (shards={}, round={})", shards, round
-                );
-                let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(
-                    bits(&outcome.posteriors),
-                    bits(&reference.posteriors),
-                    "threshold posteriors diverge (shards={}, round={})", shards, round
-                );
-                prop_assert_eq!(outcome.stats.evaluated, n);
-                prop_assert_eq!(outcome.stats.stage_partition(), outcome.stats.evaluated);
-                prop_assert_eq!(reference.stats.stage_partition(), reference.stats.evaluated);
-            }
-
-            for k in [1usize, 5, n + 3] {
-                let ranked = planner_engine.search_top_k(&query, k);
-                let reference = fixed_engine.search_top_k(&query, k);
-                prop_assert_eq!(
-                    ranked.hits.len(), reference.hits.len(),
-                    "top-{} hit count diverges (shards={})", k, shards
-                );
-                for (a, b) in ranked.hits.iter().zip(&reference.hits) {
-                    prop_assert_eq!(a.id, b.id, "top-{} ids diverge (shards={})", k, shards);
-                    prop_assert_eq!(
-                        a.posterior.to_bits(), b.posterior.to_bits(),
-                        "top-{} posteriors diverge (shards={})", k, shards
-                    );
-                }
-                prop_assert_eq!(ranked.stats.stage_partition(), ranked.stats.evaluated);
-            }
-
-            let mut streamed: Vec<usize> = Vec::new();
-            let stream_stats = planner_engine.search_streaming(&query, |id, _| streamed.push(id));
+        let fixed = config.clone().with_force_fixed_pipeline(true);
+        let planner_engine = QueryEngine::new(&database, &index, config.clone());
+        let fixed_engine = QueryEngine::new(&database, &index, fixed);
+        // Warm the planner past its prior phase so both the cold and
+        // steady-state schedules are compared against the fixed run.
+        for round in 0..10 {
+            let outcome = planner_engine.search(&query);
             let reference = fixed_engine.search(&query);
             prop_assert_eq!(
-                &streamed, &reference.matches,
-                "streamed hits diverge (shards={})", shards
+                &outcome.matches, &reference.matches,
+                "threshold matches diverge (round={})", round
             );
-            prop_assert_eq!(stream_stats.stage_partition(), stream_stats.evaluated);
+            let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&outcome.posteriors),
+                bits(&reference.posteriors),
+                "threshold posteriors diverge (round={})", round
+            );
+            prop_assert_eq!(outcome.stats.evaluated, n);
+            prop_assert_eq!(outcome.stats.stage_partition(), outcome.stats.evaluated);
+            prop_assert_eq!(reference.stats.stage_partition(), reference.stats.evaluated);
         }
+
+        for k in [1usize, 5, n + 3] {
+            let ranked = planner_engine.search_top_k(&query, k);
+            let reference = fixed_engine.search_top_k(&query, k);
+            prop_assert_eq!(
+                ranked.hits.len(), reference.hits.len(),
+                "top-{} hit count diverges", k
+            );
+            for (a, b) in ranked.hits.iter().zip(&reference.hits) {
+                prop_assert_eq!(a.id, b.id, "top-{} ids diverge", k);
+                prop_assert_eq!(
+                    a.posterior.to_bits(), b.posterior.to_bits(),
+                    "top-{} posteriors diverge", k
+                );
+            }
+            prop_assert_eq!(ranked.stats.stage_partition(), ranked.stats.evaluated);
+        }
+
+        let mut streamed: Vec<usize> = Vec::new();
+        let stream_stats = planner_engine.search_streaming(&query, |id, _| streamed.push(id));
+        let reference = fixed_engine.search(&query);
+        prop_assert_eq!(
+            &streamed, &reference.matches,
+            "streamed hits diverge"
+        );
+        prop_assert_eq!(stream_stats.stage_partition(), stream_stats.evaluated);
 
         // Dynamic base+delta under tombstones: the planner plans each
         // segment independently (tiny deltas skip the bound stages) and

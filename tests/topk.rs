@@ -1,13 +1,13 @@
 //! Ranked-query integration tests, exercised through the `gbda` facade.
 //!
 //! The central property: for **every** engine mode — Standard / V1 / V2
-//! variants, cascade on/off, 1/2/4 shards — `search_top_k(query, k)` is
+//! variants, cascade on/off — `search_top_k(query, k)` is
 //! bit-identical to the definitional reference "scan every graph
 //! threshold-free, sort by (posterior descending, graph id ascending),
 //! truncate to `k`", where the reference posteriors come from the already
 //! proven [`QueryEngine::search`] recording path. The tie-break suite then
 //! pins the determinism guarantee itself: equal posteriors order by
-//! ascending graph id, run-to-run, on sharded, batched and dynamic scans.
+//! ascending graph id, run-to-run, on static and dynamic scans.
 
 use gbda::prelude::*;
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance property: ranked results equal the threshold-free
-    /// sort-truncate reference across variants × cascade × shards × k.
+    /// sort-truncate reference across variants × cascade × k.
     #[test]
     fn top_k_equals_sort_truncate_in_every_mode(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x707);
@@ -78,37 +78,34 @@ proptest! {
                 for k in [1usize, 5, n, n + 7] {
                     let expected = rank_by_posterior(&posteriors, k);
                     for cascade in [true, false] {
-                        for shards in [1usize, 2, 4] {
-                            let engine = QueryEngine::new(
-                                &database,
-                                &index,
-                                config
-                                    .clone()
-                                    .with_variant(variant)
-                                    .with_filter_cascade(cascade)
-                                    .with_shards(shards)
-                                    .with_record_posteriors(false),
-                            );
-                            let context = format!(
-                                "{name}/q={q}/k={k}/cascade={cascade}/shards={shards}"
-                            );
-                            let top = engine.search_top_k(query, k);
-                            assert_hits_identical(&top.hits, &expected, &context);
-                            prop_assert_eq!(top.stats.evaluated, n, "{}", &context);
-                            // The engine's own reference path agrees too.
-                            assert_hits_identical(
-                                &engine.top_k_reference(query, k),
-                                &expected,
-                                &context,
-                            );
-                        }
+                        let engine = QueryEngine::new(
+                            &database,
+                            &index,
+                            config
+                                .clone()
+                                .with_variant(variant)
+                                .with_filter_cascade(cascade)
+                                .with_record_posteriors(false),
+                        );
+                        let context = format!("{name}/q={q}/k={k}/cascade={cascade}");
+                        let top = engine.search_top_k(query, k);
+                        assert_hits_identical(&top.hits, &expected, &context);
+                        prop_assert_eq!(top.stats.evaluated, n, "{}", &context);
+                        // The engine's own reference path agrees too.
+                        assert_hits_identical(
+                            &engine.top_k_reference(query, k),
+                            &expected,
+                            &context,
+                        );
                     }
                 }
             }
         }
     }
 
-    /// Batched ranked queries equal per-query ranked queries, in order.
+    /// A batch of ranked queries run back to back on one engine (a shared,
+    /// warming memo and an adapting planner) equals each query run on a
+    /// fresh engine, in order.
     #[test]
     fn top_k_batch_equals_per_query(seed in 0u64..10_000, k in 1usize..12) {
         let graphs = mixed_graphs(seed, 4);
@@ -116,11 +113,12 @@ proptest! {
         let config = GbdaConfig::new(4, 0.7).with_sample_pairs(120).with_seed(seed);
         let index = OfflineIndex::build(&database, &config).unwrap();
         let queries: Vec<Graph> = (0..4).map(|i| database.graph(i * 2).clone()).collect();
-        let engine = QueryEngine::new(&database, &index, config.with_shards(3));
-        let batch = engine.search_top_k_batch(&queries, k);
-        prop_assert_eq!(batch.len(), queries.len());
+        let engine = QueryEngine::new(&database, &index, config.clone());
+        let batch: Vec<TopKOutcome> =
+            queries.iter().map(|query| engine.search_top_k(query, k)).collect();
         for (q, (query, outcome)) in queries.iter().zip(&batch).enumerate() {
-            let single = engine.search_top_k(query, k);
+            let fresh = QueryEngine::new(&database, &index, config.clone());
+            let single = fresh.search_top_k(query, k);
             assert_hits_identical(&outcome.hits, &single.hits, &format!("batch q={q}"));
         }
     }
@@ -142,28 +140,26 @@ fn equal_posteriors_order_by_ascending_id() {
     let index = OfflineIndex::build(&database, &config).unwrap();
     let query = distinct[0].clone();
 
-    for shards in [1usize, 2, 4] {
-        let engine = QueryEngine::new(&database, &index, config.clone().with_shards(shards));
-        let top = engine.search_top_k(&query, n);
-        assert_eq!(top.hits.len(), n);
-        // Within every group of equal posteriors the ids strictly ascend.
-        for pair in top.hits.windows(2) {
-            if pair[0].posterior.to_bits() == pair[1].posterior.to_bits() {
-                assert!(
-                    pair[0].id < pair[1].id,
-                    "tie at posterior {} broken out of id order (shards {shards})",
-                    pair[0].posterior
-                );
-            }
+    let engine = QueryEngine::new(&database, &index, config);
+    let top = engine.search_top_k(&query, n);
+    assert_eq!(top.hits.len(), n);
+    // Within every group of equal posteriors the ids strictly ascend.
+    for pair in top.hits.windows(2) {
+        if pair[0].posterior.to_bits() == pair[1].posterior.to_bits() {
+            assert!(
+                pair[0].id < pair[1].id,
+                "tie at posterior {} broken out of id order",
+                pair[0].posterior
+            );
         }
-        // The query's three clones tie at the top rank, ids ascending.
-        let top3: Vec<usize> = top.hits[..3].iter().map(|h| h.id).collect();
-        assert_eq!(top3, vec![0, 6, 12], "shards {shards}");
     }
+    // The query's three clones tie at the top rank, ids ascending.
+    let top3: Vec<usize> = top.hits[..3].iter().map(|h| h.id).collect();
+    assert_eq!(top3, vec![0, 6, 12]);
 }
 
-/// Ranked queries are reproducible run-to-run on sharded, batched and
-/// dynamic paths (the documented determinism guarantee).
+/// Ranked queries are reproducible run-to-run on static and dynamic paths
+/// (the documented determinism guarantee).
 #[test]
 fn ranked_queries_are_reproducible_run_to_run() {
     let graphs = mixed_graphs(17, 5);
@@ -173,23 +169,10 @@ fn ranked_queries_are_reproducible_run_to_run() {
     let query = database.graph(1).clone();
     let k = 7;
 
-    let sharded = QueryEngine::new(&database, &index, config.clone().with_shards(4));
-    let first = sharded.search_top_k(&query, k);
+    let engine = QueryEngine::new(&database, &index, config.clone());
+    let first = engine.search_top_k(&query, k);
     for _ in 0..5 {
-        assert_hits_identical(
-            &sharded.search_top_k(&query, k).hits,
-            &first.hits,
-            "sharded",
-        );
-    }
-
-    let queries: Vec<Graph> = (0..5).map(|i| database.graph(i).clone()).collect();
-    let batch_first = sharded.search_top_k_batch(&queries, k);
-    for _ in 0..3 {
-        let again = sharded.search_top_k_batch(&queries, k);
-        for (a, b) in batch_first.iter().zip(&again) {
-            assert_hits_identical(&a.hits, &b.hits, "batched");
-        }
+        assert_hits_identical(&engine.search_top_k(&query, k).hits, &first.hits, "static");
     }
 
     let mut dynamic = DynamicDatabase::new(database);
