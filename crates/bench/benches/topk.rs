@@ -25,7 +25,11 @@ fn bench_topk(c: &mut Criterion) {
         let database = GraphDatabase::from_graphs(graphs);
         let config = GbdaConfig::new(5, 0.8).with_sample_pairs(500);
         let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
-        let recording = QueryEngine::new(&database, &index, config.clone());
+        let recording = QueryEngine::new(
+            &database,
+            &index,
+            config.clone().with_record_posteriors(true),
+        );
         let cascade = QueryEngine::new(
             &database,
             &index,

@@ -148,8 +148,9 @@ fn bench_workload(n: usize, k: usize, repeats: usize) -> JsonValue {
     let config = GbdaConfig::new(5, 0.8).with_sample_pairs(500);
     let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
     let fast_config = config.clone().with_record_posteriors(false);
+    let recording_config = config.clone().with_record_posteriors(true);
     let engine = QueryEngine::new(&database, &index, fast_config.clone());
-    let recording = QueryEngine::new(&database, &index, config.clone());
+    let recording = QueryEngine::new(&database, &index, recording_config.clone());
 
     let mut modes = Vec::new();
 
@@ -192,7 +193,7 @@ fn bench_workload(n: usize, k: usize, repeats: usize) -> JsonValue {
         .unzip();
     let fresh = GraphDatabase::with_alphabets(survivors, dynamic.alphabets());
     let fresh_engine = QueryEngine::new(&fresh, &index, config.clone());
-    let dynamic_recording = DynamicEngine::new(&dynamic, &index, config.clone());
+    let dynamic_recording = DynamicEngine::new(&dynamic, &index, recording_config);
     let dynamic_engine = DynamicEngine::new(&dynamic, &index, fast_config.clone());
     let fresh_reference = fresh_engine.reference_search(&query);
     let dynamic_outcome = dynamic_recording.search(&query);

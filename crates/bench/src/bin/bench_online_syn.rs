@@ -130,7 +130,9 @@ fn bench_workload(n: usize, repeats: usize) -> JsonValue {
     eprintln!("# workload: {n} graphs");
     let (graphs, query) = mixed_size_online_workload(n);
     let database = GraphDatabase::from_graphs(graphs);
-    let config = GbdaConfig::new(5, 0.8).with_sample_pairs(500);
+    let config = GbdaConfig::new(5, 0.8)
+        .with_sample_pairs(500)
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
 
     let memoized = QueryEngine::new(&database, &index, config.clone().with_filter_cascade(false));

@@ -157,12 +157,15 @@ fn bench_workload(mutations: usize, base_n: usize, repeats: usize) -> Result<Jso
 
     // Replay bit-identity: the recovered database must answer a scan
     // exactly like a fresh rebuild over the same live set (shared index).
-    let config = GbdaConfig::new(4, 0.8).with_sample_pairs(200);
+    let config = GbdaConfig::new(4, 0.8)
+        .with_sample_pairs(200)
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&rebuilt, &config).expect("offline stage builds");
     let static_scan = QueryEngine::new(&rebuilt, &index, config.clone()).search(&query);
     let dynamic_scan = DynamicEngine::new(recovered.database(), &index, config).search(&query);
     let static_ids: Vec<u64> = static_scan.matches.iter().map(|&i| ids[i]).collect();
     let replay_scan_match = dynamic_scan.matches == static_ids
+        && dynamic_scan.posteriors.len() == dynamic_scan.stats.evaluated
         && dynamic_scan.posteriors.len() == static_scan.posteriors.len()
         && dynamic_scan
             .posteriors

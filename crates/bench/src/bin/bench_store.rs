@@ -129,18 +129,21 @@ fn bench_workload(n: usize, repeats: usize) -> Result<JsonValue, String> {
     let postings_verified = loaded.verify_postings();
 
     // The loaded database must answer scans identically to the built one.
-    let config = GbdaConfig::new(5, 0.8).with_sample_pairs(500);
+    let config = GbdaConfig::new(5, 0.8)
+        .with_sample_pairs(500)
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
     let built_engine = QueryEngine::new(&database, &index, config.clone());
     let loaded_engine = QueryEngine::new(&loaded, &index, config.clone());
     let built_scan = built_engine.search(&query);
     let loaded_scan = loaded_engine.search(&query);
-    let scan_match = outcomes_match(
-        &built_scan.matches,
-        &built_scan.posteriors,
-        &loaded_scan.matches,
-        &loaded_scan.posteriors,
-    );
+    let scan_match = built_scan.posteriors.len() == built_scan.stats.evaluated
+        && outcomes_match(
+            &built_scan.matches,
+            &built_scan.posteriors,
+            &loaded_scan.matches,
+            &loaded_scan.posteriors,
+        );
 
     // Phase 4: the dynamic layer. Insert ~5% fresh graphs, remove ~2%.
     let inserts = (n / 20).max(1);
@@ -166,6 +169,7 @@ fn bench_workload(n: usize, repeats: usize) -> Result<JsonValue, String> {
     let (static_scan_us, static_scan) = timed(repeats, || compacted_engine.search(&query));
     let static_ids: Vec<u64> = static_scan.matches.iter().map(|&i| ids[i]).collect();
     let dynamic_match = dynamic_scan.matches == static_ids
+        && dynamic_scan.posteriors.len() == dynamic_scan.stats.evaluated
         && dynamic_scan
             .posteriors
             .iter()

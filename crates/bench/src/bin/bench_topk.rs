@@ -142,7 +142,11 @@ fn bench_workload(n: usize, k: usize, repeats: usize) -> JsonValue {
     let config = GbdaConfig::new(5, 0.8).with_sample_pairs(500);
     let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
 
-    let recording = QueryEngine::new(&database, &index, config.clone());
+    let recording = QueryEngine::new(
+        &database,
+        &index,
+        config.clone().with_record_posteriors(true),
+    );
     let cascade = QueryEngine::new(
         &database,
         &index,

@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn pinned_generations_are_snapshot_isolated() {
         let (database, index, config) = setup();
-        let engine = ConcurrentEngine::new(database, index, config);
+        let engine = ConcurrentEngine::new(database, index, config.with_record_posteriors(true));
         let query = graphs(5, 1, 12).pop().unwrap();
 
         let old = engine.pin();
@@ -620,6 +620,8 @@ mod tests {
         let replay = engine.reader().search_pinned(&old, &query);
         assert_eq!(replay.ids, old_outcome.ids);
         assert_eq!(replay.matches, old_outcome.matches);
+        assert_eq!(replay.posteriors.len(), replay.stats.evaluated);
+        assert_eq!(replay.posteriors.len(), old_outcome.posteriors.len());
         for (a, b) in replay.posteriors.iter().zip(&old_outcome.posteriors) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -658,7 +660,10 @@ mod tests {
             let (database, index, config) = setup();
             // A fixed pipeline keeps the stage counters a function of the
             // generation alone (the planner adapts to what it has observed).
-            let config = config.with_variant(variant).with_force_fixed_pipeline(true);
+            let config = config
+                .with_variant(variant)
+                .with_force_fixed_pipeline(true)
+                .with_record_posteriors(true);
             let engine = ConcurrentEngine::new(database, index, config);
             // The pinned generation already has a delta and an overlay, so
             // both are truncated, not merely empty.
@@ -669,6 +674,7 @@ mod tests {
             reader.search_pinned(&pinned, query); // warms the posterior memo
             reader.search_top_k_pinned(&pinned, query, 5);
             let scan = reader.search_pinned(&pinned, query);
+            assert_eq!(scan.posteriors.len(), scan.stats.evaluated);
             let ranked = reader.search_top_k_pinned(&pinned, query, 5);
             let known_before = pinned.view_catalog().flatten_graph(query);
 
@@ -716,7 +722,7 @@ mod tests {
             GbdaVariant::WeightedGbd { weight: 0.5 },
         ] {
             let (database, index, config) = setup();
-            let config = config.with_variant(variant);
+            let config = config.with_variant(variant).with_record_posteriors(true);
             let engine = ConcurrentEngine::new(database, index, config.clone());
             for g in graphs(47, 5, 13) {
                 engine.insert(g);
@@ -735,6 +741,8 @@ mod tests {
             let got = engine.search(&query);
             let expected_ids: Vec<u64> = expected.matches.iter().map(|&i| ids[i]).collect();
             assert_eq!(got.matches, expected_ids, "variant {variant:?}");
+            assert_eq!(got.posteriors.len(), got.stats.evaluated);
+            assert_eq!(got.posteriors.len(), expected.posteriors.len());
             for (a, b) in got.posteriors.iter().zip(&expected.posteriors) {
                 assert_eq!(a.to_bits(), b.to_bits(), "variant {variant:?}");
             }

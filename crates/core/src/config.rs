@@ -40,8 +40,10 @@ pub struct GbdaConfig {
     /// Which estimator variant to run.
     pub variant: GbdaVariant,
     /// Whether [`crate::SearchOutcome::posteriors`] is filled for every
-    /// database graph. Disabling it lets the engine answer most graphs with
-    /// a single integer comparison against the per-size ϕ threshold.
+    /// database graph. Off by default: Algorithm 1 returns ids, so a
+    /// threshold scan answers most graphs from the per-size accept/reject
+    /// regions of the posterior without resolving it. Turn it on to get one
+    /// posterior per scanned graph, at the cost of resolving every one.
     pub record_posteriors: bool,
     /// Whether scans run the candidate-pruning cascade of [`crate::filter`]:
     /// monotone GBD bounds plus the inverted-index count filter, resolving
@@ -85,7 +87,7 @@ impl Default for GbdaConfig {
             gmm: GmmConfig::default(),
             seed: 0x6BDA,
             variant: GbdaVariant::Standard,
-            record_posteriors: true,
+            record_posteriors: false,
             filter_cascade: true,
             force_fixed_pipeline: false,
             telemetry: TelemetryLevel::Metrics,
@@ -218,7 +220,7 @@ mod tests {
         assert_eq!(c.tau_hat, 5);
         assert!((c.gamma - 0.9).abs() < 1e-12);
         assert_eq!(c.variant, GbdaVariant::Standard);
-        assert!(c.record_posteriors);
+        assert!(!c.record_posteriors, "threshold search returns ids only");
         assert!(c.filter_cascade);
         assert!(!c.force_fixed_pipeline, "the planner is on by default");
         assert_eq!(

@@ -1325,7 +1325,10 @@ mod tests {
         let ids = dynamic.live_ids();
         let fresh = GraphDatabase::with_alphabets(survivors, dynamic.alphabets());
         for cascade in [true, false] {
-            let config = config.clone().with_filter_cascade(cascade);
+            let config = config
+                .clone()
+                .with_filter_cascade(cascade)
+                .with_record_posteriors(true);
             let static_engine = QueryEngine::new(&fresh, &index, config.clone());
             let dynamic_engine = DynamicEngine::new(&dynamic, &index, config);
             let expected = static_engine.search(&query);
@@ -1333,6 +1336,7 @@ mod tests {
             assert_eq!(got.ids, ids);
             let expected_ids: Vec<u64> = expected.matches.iter().map(|&i| ids[i]).collect();
             assert_eq!(got.matches, expected_ids, "cascade={cascade}");
+            assert_eq!(got.posteriors.len(), got.stats.evaluated);
             assert_eq!(got.posteriors.len(), expected.posteriors.len());
             for (a, b) in got.posteriors.iter().zip(&expected.posteriors) {
                 assert_eq!(a.to_bits(), b.to_bits(), "cascade={cascade}");

@@ -21,12 +21,13 @@
 //! from the L1 size bound, per-graph aggregates refine the bound, and the
 //! inverted-index count filter supplies the exact `ϕ` of the survivors —
 //! without merging a single branch run. With the cascade off, every pair
-//! pays one branchless merge over the flat interned branch runs, then
-//! either a [`PosteriorCache`] lookup or — when posterior recording is off —
-//! a single integer comparison against the per-size ϕ threshold. All modes
-//! return bit-identical matches and posteriors because every path evaluates
-//! the same [`gbd_prob::posterior_ged_at_most`] on the same inputs, and the
-//! count filter reproduces the merge's intersection exactly.
+//! pays one branchless merge over the flat interned branch runs, then a
+//! single integer comparison against the per-size ϕ threshold or, when that
+//! does not accept the graph or posterior recording was asked for, a
+//! [`PosteriorCache`] lookup. All modes return bit-identical matches and
+//! posteriors because every path evaluates the same
+//! [`gbd_prob::posterior_ged_at_most`] on the same inputs, and the count
+//! filter reproduces the merge's intersection exactly.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -352,6 +353,7 @@ mod tests {
 
     fn outcomes_identical(a: &SearchOutcome, b: &SearchOutcome) {
         assert_eq!(a.matches, b.matches);
+        assert_eq!(a.posteriors.len(), a.stats.evaluated);
         assert_eq!(a.posteriors.len(), b.posteriors.len());
         for (x, y) in a.posteriors.iter().zip(&b.posteriors) {
             assert_eq!(x.to_bits(), y.to_bits(), "posteriors diverge");
@@ -362,7 +364,7 @@ mod tests {
     fn engine_matches_the_seed_reference_path() {
         let (family, database, config) = family_setup(4);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let engine = QueryEngine::new(&database, &index, config);
+        let engine = QueryEngine::new(&database, &index, config.with_record_posteriors(true));
         for q in 0..3 {
             let query = family.member_graph(q).clone();
             outcomes_identical(&engine.search(&query), &engine.reference_search(&query));
@@ -373,7 +375,7 @@ mod tests {
     fn memoization_collapses_the_scan_to_few_evaluations() {
         let (family, database, config) = family_setup(4);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let engine = QueryEngine::new(&database, &index, config);
+        let engine = QueryEngine::new(&database, &index, config.with_record_posteriors(true));
         let query = family.member_graph(0).clone();
         let first = engine.search(&query);
         // Misses are bounded by |sizes| × (ϕ_max + 1), not by |D|.
@@ -391,7 +393,11 @@ mod tests {
     fn threshold_fast_path_returns_identical_matches() {
         let (family, database, config) = family_setup(5);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let recording = QueryEngine::new(&database, &index, config.clone());
+        let recording = QueryEngine::new(
+            &database,
+            &index,
+            config.clone().with_record_posteriors(true),
+        );
         let fast = QueryEngine::new(&database, &index, config.with_record_posteriors(false));
         for q in 0..4 {
             let query = family.member_graph(q).clone();
@@ -460,6 +466,9 @@ mod tests {
                 let a = with.search(query);
                 let b = without.search(query);
                 assert_eq!(a.matches, b.matches, "record={record}, query {qi}");
+                let recorded = if record { a.stats.evaluated } else { 0 };
+                assert_eq!(a.posteriors.len(), recorded, "record={record}, query {qi}");
+                assert_eq!(b.posteriors.len(), recorded, "record={record}, query {qi}");
                 for (x, y) in a.posteriors.iter().zip(&b.posteriors) {
                     assert_eq!(x.to_bits(), y.to_bits(), "record={record}, query {qi}");
                 }
@@ -606,7 +615,8 @@ mod tests {
             GbdaConfig {
                 gamma: 0.9999,
                 ..config.clone()
-            },
+            }
+            .with_record_posteriors(true),
         );
         let loose = QueryEngine::new(
             &database,
@@ -702,7 +712,8 @@ mod tests {
         let index = OfflineIndex::build(&database, &config).unwrap();
         let v1 = config
             .clone()
-            .with_variant(GbdaVariant::AverageExtendedSize { sample_graphs: 5 });
+            .with_variant(GbdaVariant::AverageExtendedSize { sample_graphs: 5 })
+            .with_record_posteriors(true);
         let engine = QueryEngine::new(&database, &index, v1);
         assert!(engine.fixed_extended_size().is_some());
         let outcome = engine.search(family.member_graph(1));
@@ -718,7 +729,9 @@ mod tests {
         let v2 = QueryEngine::new(
             &database,
             &index,
-            config.with_variant(GbdaVariant::WeightedGbd { weight: 0.1 }),
+            config
+                .with_variant(GbdaVariant::WeightedGbd { weight: 0.1 })
+                .with_record_posteriors(true),
         );
         let query = family.member_graph(0).clone();
         let branches = BranchMultiset::from_graph(&query);

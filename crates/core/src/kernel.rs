@@ -209,9 +209,9 @@ pub trait Cutoff {
 /// guaranteed, reject when `Φ(ϕ) < γ` is guaranteed, resolve otherwise.
 ///
 /// Holds one [`SizeDecision`] per size bucket of the segment plus the
-/// stage-1 classification of each bucket's ϕ interval. In recording mode
-/// (`record_posteriors`) both tables are empty, so every graph resolves its
-/// posterior — the definitional scan.
+/// stage-1 classification of each bucket's ϕ interval. Recording mode is
+/// opt-in (`record_posteriors`, off by default): there both tables are
+/// empty, so every graph resolves its posterior — the definitional scan.
 #[derive(Debug)]
 pub struct StaticPhi {
     gamma: f64,

@@ -156,7 +156,52 @@ pub(crate) struct Run<'a, M, K> {
     query_size: usize,
     sink: K,
     stats: SearchStats,
-    memo: HashMap<(usize, u64), f64>,
+    memo: PosteriorMemo,
+}
+
+/// A run's local posterior memo: one row per extended size the run met,
+/// indexed by ϕ, so a repeated key costs two indexings instead of a hash.
+///
+/// A query meets few extended sizes (every graph no larger than the query
+/// shares the query's), so rows are found by a linear search over the
+/// sizes: a huge `|V'1|` costs one row, never `|V'1|` slots. A row grows
+/// only to the largest ϕ looked up in it. An empty slot is `None`, not a
+/// NaN, because a model fault can produce a NaN posterior.
+///
+/// The GBD is bounded by the larger vertex count, but GBDA-V2's
+/// `max − w·|∩|` is not: a weight far below zero drives ϕ to any size, up
+/// to `u64::MAX` at `w = −∞`. Rows therefore only cover
+/// `ϕ ≤ 2·|V'1| + 16` (the slack absorbs GBDA-V1's fixed `|V'1|` sitting
+/// below a graph's own size); a key past that has no slot.
+#[derive(Default)]
+struct PosteriorMemo {
+    sizes: Vec<usize>,
+    rows: Vec<Vec<Option<f64>>>,
+}
+
+impl PosteriorMemo {
+    /// The slot of `(extended_size, phi)`, grown into the memo if new, or
+    /// `None` when ϕ is past the row's dense range.
+    fn slot(&mut self, extended_size: usize, phi: u64) -> Option<&mut Option<f64>> {
+        let limit = (extended_size as u64).saturating_mul(2).saturating_add(16);
+        if phi > limit {
+            return None;
+        }
+        let phi = usize::try_from(phi).ok()?;
+        let row = match self.sizes.iter().position(|&size| size == extended_size) {
+            Some(row) => row,
+            None => {
+                self.sizes.push(extended_size);
+                self.rows.push(Vec::new());
+                self.rows.len() - 1
+            }
+        };
+        let row = &mut self.rows[row];
+        if phi >= row.len() {
+            row.resize(phi + 1, None);
+        }
+        Some(&mut row[phi])
+    }
 }
 
 impl<M: Mode, K> Run<'_, M, K> {
@@ -290,22 +335,26 @@ impl Scanner {
     }
 
     /// Memoized posterior lookup through a run's local memo in front of the
-    /// shared cache, booking the hit or miss.
+    /// shared cache, booking the hit or miss. A key the memo has no slot for
+    /// goes to the shared cache every time, which books a repeat as the same
+    /// hit the memo would.
     fn lookup(
         &self,
         index: &OfflineIndex,
-        memo: &mut HashMap<(usize, u64), f64>,
+        memo: &mut PosteriorMemo,
         stats: &mut SearchStats,
         extended_size: usize,
         phi: u64,
     ) -> f64 {
-        let key = (extended_size, phi);
-        if let Some(&posterior) = memo.get(&key) {
+        let slot = memo.slot(extended_size, phi);
+        if let Some(&Some(posterior)) = slot.as_deref() {
             stats.cache_hits += 1;
             return posterior;
         }
         let (posterior, hit) = self.cache.posterior_tracked(index, extended_size, phi);
-        memo.insert(key, posterior);
+        if let Some(slot) = slot {
+            *slot = Some(posterior);
+        }
         if hit {
             stats.cache_hits += 1;
         } else {
@@ -337,7 +386,7 @@ impl Scanner {
             query_size: query.vertex_count(),
             sink,
             stats: SearchStats::default(),
-            memo: HashMap::new(),
+            memo: PosteriorMemo::default(),
         };
         let flatten_seconds = started.elapsed().as_secs_f64();
         let scan_started = Instant::now();
@@ -353,5 +402,104 @@ impl Scanner {
         let seconds = started.elapsed().as_secs_f64();
         crate::obs::record_search(&stats, seconds);
         (sink, stats, seconds)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::GraphDatabase;
+    use gbd_graph::{GeneratorConfig, LabelAlphabets};
+
+    #[test]
+    fn dense_memo_returns_the_shared_caches_bits_and_books_the_same_hits_and_misses() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let graphs = GeneratorConfig::new(10, 2.0)
+            .with_alphabets(LabelAlphabets::new(5, 3))
+            .generate_many(12, &mut rng)
+            .unwrap();
+        let database = GraphDatabase::from_graphs(graphs);
+        let config = GbdaConfig::new(4, 0.8).with_sample_pairs(60);
+        let index = OfflineIndex::build(&database, &config).unwrap();
+        let scanner = Scanner::new(config.clone());
+        let direct = PosteriorCache::new(config.tau_hat);
+
+        // Repeated keys, two interleaved extended sizes, a ϕ that keeps
+        // growing past each row's end, and one huge extended size.
+        let mut keys = Vec::new();
+        for phi in 0..12u64 {
+            keys.extend([(10, phi), (12, phi / 2), (10, phi / 3)]);
+        }
+        keys.extend([(1 << 20, 3), (12, 40), (1 << 20, 3), (10, 0), (1 << 20, 0)]);
+        // GBDA-V2 ϕs past the dense range: w = −1e6 over 100 shared branches,
+        // and the saturated ϕ of w = −∞. Each is asked twice.
+        for _ in 0..2 {
+            keys.extend([
+                (10, 100_000_010),
+                (12, 41),
+                (10, u64::MAX),
+                (1 << 20, u64::MAX),
+            ]);
+        }
+
+        let mut memo = PosteriorMemo::default();
+        let mut stats = SearchStats::default();
+        let (mut hits, mut misses) = (0, 0);
+        for &(extended_size, phi) in &keys {
+            let got = scanner.lookup(&index, &mut memo, &mut stats, extended_size, phi);
+            let (expected, hit) = direct.posterior_tracked(&index, extended_size, phi);
+            assert_eq!(
+                got.to_bits(),
+                expected.to_bits(),
+                "|V'1| = {extended_size}, ϕ = {phi}"
+            );
+            if hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        assert_eq!((stats.cache_hits, stats.cache_misses), (hits, misses));
+        assert_eq!(scanner.cache().len(), direct.len());
+        assert_eq!(memo.sizes, [10, 12, 1 << 20]);
+        let row_lens: Vec<usize> = memo.rows.iter().map(Vec::len).collect();
+        assert_eq!(row_lens, [12, 41, 4], "a row grows to its largest ϕ only");
+    }
+
+    /// A GBDA-V2 weight far below zero drives ϕ past every dense row; the
+    /// scans still return the reference bits without growing a row to ϕ.
+    #[test]
+    fn huge_v2_phis_bypass_the_dense_memo_and_keep_the_reference_bits() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let graphs = GeneratorConfig::new(10, 2.0)
+            .with_alphabets(LabelAlphabets::new(3, 2))
+            .generate_many(12, &mut rng)
+            .unwrap();
+        let database = GraphDatabase::from_graphs(graphs);
+        for weight in [-1e6, f64::NEG_INFINITY] {
+            let config = GbdaConfig::new(4, 0.8)
+                .with_sample_pairs(60)
+                .with_variant(GbdaVariant::WeightedGbd { weight })
+                .with_record_posteriors(true);
+            let index = OfflineIndex::build(&database, &config).unwrap();
+            let engine = crate::QueryEngine::new(&database, &index, config);
+            for q in 0..database.len() {
+                let query = database.graph(q);
+                let got = engine.search(query);
+                let expected = engine.reference_search(query);
+                assert_eq!(got.matches, expected.matches, "w = {weight}, query {q}");
+                assert_eq!(got.posteriors.len(), got.stats.evaluated);
+                assert_eq!(got.posteriors.len(), expected.posteriors.len());
+                for (a, b) in got.posteriors.iter().zip(&expected.posteriors) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "w = {weight}, query {q}");
+                }
+                let ranked = engine.search_top_k(query, 3).hits;
+                let reference = engine.top_k_reference(query, 3);
+                let bits = |hits: &[crate::RankedHit]| -> Vec<(usize, u64)> {
+                    hits.iter().map(|h| (h.id, h.posterior.to_bits())).collect()
+                };
+                assert_eq!(bits(&ranked), bits(&reference), "w = {weight}, query {q}");
+            }
+        }
     }
 }

@@ -126,7 +126,8 @@ pub struct SearchOutcome {
     pub matches: Vec<usize>,
     /// The posterior `Φ` for every database graph (same indexing as the
     /// database), useful for diagnostics and the experiment harness. Empty
-    /// when [`crate::GbdaConfig::record_posteriors`] is off.
+    /// unless [`crate::GbdaConfig::record_posteriors`] asks for it (it is
+    /// off by default).
     pub posteriors: Vec<f64>,
     /// Wall-clock seconds of the online stage for this query.
     pub seconds: f64,
@@ -162,7 +163,7 @@ mod tests {
     fn identical_graph_is_always_returned() {
         let (family, database, config) = family_setup(3);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = QueryEngine::new(&database, &index, config);
+        let searcher = QueryEngine::new(&database, &index, config.with_record_posteriors(true));
         let query = family.member_graph(0).clone();
         let outcome = searcher.search(&query);
         assert!(
@@ -179,7 +180,7 @@ mod tests {
     fn posteriors_decrease_with_distance_on_average() {
         let (family, database, config) = family_setup(5);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = QueryEngine::new(&database, &index, config);
+        let searcher = QueryEngine::new(&database, &index, config.with_record_posteriors(true));
         let query = family.member_graph(0).clone();
         let outcome = searcher.search(&query);
         let mut near = Vec::new();
@@ -225,7 +226,7 @@ mod tests {
     fn posterior_accessor_matches_search_results() {
         let (family, database, config) = family_setup(3);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let searcher = QueryEngine::new(&database, &index, config);
+        let searcher = QueryEngine::new(&database, &index, config.with_record_posteriors(true));
         let query = family.member_graph(0).clone();
         let outcome = searcher.search(&query);
         for i in 0..database.len() {

@@ -286,21 +286,27 @@ fn record_request(request: &Request, response: &Response, seconds: f64) {
 mod tests {
     use super::*;
     use gbd_graph::{GeneratorConfig, LabelAlphabets};
-    use gbda_core::{GbdaConfig, GraphDatabase, OfflineIndex};
+    use gbda_core::{GbdaConfig, GraphDatabase, OfflineIndex, QueryEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn state() -> ServeState {
+    fn graphs() -> Vec<Graph> {
         let mut rng = StdRng::seed_from_u64(7);
-        let graphs = GeneratorConfig::new(8, 2.0)
+        GeneratorConfig::new(8, 2.0)
             .with_alphabets(LabelAlphabets::new(4, 2))
             .generate_many(10, &mut rng)
-            .unwrap();
-        let database = GraphDatabase::from_graphs(graphs);
-        let config = GbdaConfig::new(2, 0.5).with_sample_pairs(60);
-        let index = OfflineIndex::build(&database, &config).unwrap();
+            .unwrap()
+    }
+
+    fn config() -> GbdaConfig {
+        GbdaConfig::new(2, 0.5).with_sample_pairs(60)
+    }
+
+    fn state() -> ServeState {
+        let database = GraphDatabase::from_graphs(graphs());
+        let index = OfflineIndex::build(&database, &config()).unwrap();
         let engine =
-            ConcurrentEngine::new(gbda_core::DynamicDatabase::new(database), index, config);
+            ConcurrentEngine::new(gbda_core::DynamicDatabase::new(database), index, config());
         ServeState::new(engine)
     }
 
@@ -346,6 +352,34 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    /// The served engine is built from the defaults, so `/search` runs the
+    /// threshold scan that records no posteriors, and answers exactly what a
+    /// recording scan over the same graphs would.
+    #[test]
+    fn served_search_records_no_posteriors_and_matches_a_recording_scan() {
+        let state = state();
+        assert!(!state.engine.config().record_posteriors);
+        let database = GraphDatabase::from_graphs(graphs());
+        let recording = QueryEngine::new(
+            &database,
+            state.engine.reader().index(),
+            config().with_record_posteriors(true),
+        );
+        let triangle = graph_from_json(&json::parse(TRIANGLE).unwrap()).unwrap();
+        let generation = state.engine.pin();
+        let mut matched = 0;
+        for query in graphs().iter().chain([&triangle]) {
+            let served = state.engine.reader().search_pinned(&generation, query);
+            let recorded = recording.search(query);
+            assert!(served.posteriors.is_empty());
+            assert_eq!(recorded.posteriors.len(), recorded.stats.evaluated);
+            let ids: Vec<u64> = recorded.matches.iter().map(|&i| i as u64).collect();
+            assert_eq!(served.matches, ids);
+            matched += ids.len();
+        }
+        assert!(matched > 0, "every database graph matches itself");
     }
 
     #[test]

@@ -33,8 +33,9 @@ fn main() {
         stats.gbd_prior_seconds, stats.sampled_pairs, stats.ged_prior_seconds
     );
 
-    // 3. Online stage: Algorithm 1, served by the query engine.
-    let searcher = QueryEngine::new(&database, &index, config);
+    // 3. Online stage: Algorithm 1, served by the query engine. Search
+    //    returns ids only unless it is asked to record every posterior.
+    let searcher = QueryEngine::new(&database, &index, config.with_record_posteriors(true));
     let outcome = searcher.search(&query);
     println!(
         "GBDA returned {} graphs with Pr[GED ≤ 4 | GBD] ≥ 0.8 in {:.4}s \

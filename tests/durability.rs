@@ -152,13 +152,18 @@ fn assert_scans_match_rebuild(
         .map(|(id, graph)| (id, graph.clone()))
         .unzip();
     let fresh = GraphDatabase::with_alphabets(survivors, recovered.alphabets());
-    for (name, mode) in variant_modes(config) {
+    for (name, mode) in variant_modes(&config.clone().with_record_posteriors(true)) {
         let static_engine = QueryEngine::new(&fresh, index, mode.clone());
         let dynamic_engine = DynamicEngine::new(recovered, index, mode);
         let expected = static_engine.search(query);
         let got = dynamic_engine.search(query);
         let expected_ids: Vec<u64> = expected.matches.iter().map(|&i| ids[i]).collect();
         assert_eq!(got.matches, expected_ids, "{context}/{name}: matches");
+        assert_eq!(
+            got.posteriors.len(),
+            got.stats.evaluated,
+            "{context}/{name}"
+        );
         assert_eq!(
             got.posteriors.len(),
             expected.posteriors.len(),

@@ -86,6 +86,12 @@ fn assert_equivalent(
             got.matches, expected_ids,
             "{context}: query {q} matches diverge"
         );
+        let recorded = if config.record_posteriors {
+            got.stats.evaluated
+        } else {
+            0
+        };
+        assert_eq!(got.posteriors.len(), recorded, "{context}: query {q}");
         assert_eq!(
             got.posteriors.len(),
             expected.posteriors.len(),
@@ -185,7 +191,10 @@ proptest! {
         prop_assert_eq!(loaded.len(), database.len());
         prop_assert_eq!(loaded.arena_len(), database.arena_len());
 
-        let config = GbdaConfig::new(4, 0.75).with_sample_pairs(120).with_seed(seed);
+        let config = GbdaConfig::new(4, 0.75)
+            .with_sample_pairs(120)
+            .with_seed(seed)
+            .with_record_posteriors(true);
         let index = OfflineIndex::build(&database, &config).unwrap();
         let query = database.graph(0).clone();
         let original = QueryEngine::new(&database, &index, config.clone());
@@ -193,6 +202,8 @@ proptest! {
         let a = original.search(&query);
         let b = reloaded.search(&query);
         prop_assert_eq!(a.matches, b.matches);
+        prop_assert_eq!(a.posteriors.len(), a.stats.evaluated);
+        prop_assert_eq!(a.posteriors.len(), b.posteriors.len());
         for (x, y) in a.posteriors.iter().zip(&b.posteriors) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -276,7 +287,9 @@ fn snapshot_dynamic_compact_lifecycle() {
 #[test]
 fn inserts_grow_the_catalog_without_breaking_base_scans() {
     let base = GraphDatabase::from_graphs(graphs_from_seed(1, 8, 10));
-    let config = GbdaConfig::new(3, 0.8).with_sample_pairs(100);
+    let config = GbdaConfig::new(3, 0.8)
+        .with_sample_pairs(100)
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&base, &config).unwrap();
     let base_catalog_len = base.catalog().len();
     let mut dynamic = DynamicDatabase::new(base);

@@ -233,6 +233,12 @@ fn static_and_empty_log_dynamic_engines_agree_on_answers_and_stats() {
             assert_eq!(b.ids, (0..n as u64).collect::<Vec<_>>(), "{context}");
             let matches: Vec<u64> = a.matches.iter().map(|&i| i as u64).collect();
             assert_eq!(matches, b.matches, "{context}: matches");
+            let recorded = if fixed.config().record_posteriors {
+                a.stats.evaluated
+            } else {
+                0
+            };
+            assert_eq!(a.posteriors.len(), recorded, "{context}");
             assert_eq!(bits(&a.posteriors), bits(&b.posteriors), "{context}");
             assert_eq!(timeless(a.stats), timeless(b.stats), "{context}: stats");
 

@@ -215,6 +215,7 @@ proptest! {
             prop_assert_eq!(&cascade.matches, &reference.matches);
             prop_assert_eq!(cascade.stats.merged, 0);
             if record == 1 {
+                prop_assert_eq!(cascade.posteriors.len(), cascade.stats.evaluated);
                 prop_assert_eq!(cascade.posteriors.len(), reference.posteriors.len());
                 for (x, y) in cascade.posteriors.iter().zip(&reference.posteriors) {
                     prop_assert_eq!(x.to_bits(), y.to_bits(), "posterior bits diverge");

@@ -38,7 +38,8 @@ fn check_variant(variant: GbdaVariant, label: &str) {
     let (queries, database) = workload();
     let config = GbdaConfig::new(4, 0.7)
         .with_sample_pairs(300)
-        .with_variant(variant);
+        .with_variant(variant)
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&database, &config).unwrap();
 
     let engine = QueryEngine::new(&database, &index, config);
@@ -46,8 +47,10 @@ fn check_variant(variant: GbdaVariant, label: &str) {
     // Per query, in sequence on one engine (warm memo, adapting planner):
     // the driver's scan ≡ the seed reference scan.
     for (qi, query) in queries.iter().enumerate() {
+        let outcome = engine.search(query);
+        assert_eq!(outcome.posteriors.len(), outcome.stats.evaluated);
         assert_outcomes_identical(
-            &engine.search(query),
+            &outcome,
             &engine.reference_search(query),
             &format!("{label}, search vs reference, query {qi}"),
         );
@@ -87,7 +90,11 @@ fn threshold_fast_path_matches_recorded_scan_for_all_variants() {
             .with_sample_pairs(300)
             .with_variant(variant);
         let index = OfflineIndex::build(&database, &config).unwrap();
-        let recording = QueryEngine::new(&database, &index, config.clone());
+        let recording = QueryEngine::new(
+            &database,
+            &index,
+            config.clone().with_record_posteriors(true),
+        );
         let fast = QueryEngine::new(&database, &index, config.with_record_posteriors(false));
         for (qi, query) in queries.iter().enumerate() {
             let a = recording.search(query);
@@ -131,6 +138,8 @@ fn filter_cascade_is_bit_identical_to_the_merge_scan_for_all_variants() {
                 let a = cascade.search(query);
                 let b = merge.search(query);
                 let context = format!("{label}, record={record}, query {qi}");
+                let recorded = if record { a.stats.evaluated } else { 0 };
+                assert_eq!(a.posteriors.len(), recorded, "{context}");
                 assert_outcomes_identical(&a, &b, &context);
                 // The cascade run never merged a single graph; the merge run
                 // merged all of them.
@@ -171,7 +180,9 @@ fn cascade_stage_counters_partition_scans_and_batch_totals() {
 #[test]
 fn search_stats_account_for_every_database_graph() {
     let (queries, database) = workload();
-    let config = GbdaConfig::new(3, 0.8).with_sample_pairs(300);
+    let config = GbdaConfig::new(3, 0.8)
+        .with_sample_pairs(300)
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&database, &config).unwrap();
     let engine = QueryEngine::new(&database, &index, config);
     let outcome = engine.search(&queries[0]);

@@ -110,7 +110,10 @@ proptest! {
         let graphs = adversarial_graphs(seed, 45, labels, &[7, 12, 18]);
         let database = GraphDatabase::from_graphs(graphs.clone());
         let n = database.len();
-        let config = GbdaConfig::new(4, 0.7).with_sample_pairs(150).with_seed(seed);
+        let config = GbdaConfig::new(4, 0.7)
+            .with_sample_pairs(150)
+            .with_seed(seed)
+            .with_record_posteriors(true);
         let index = OfflineIndex::build(&database, &config).unwrap();
         let query = database.graph((seed % n as u64) as usize).clone();
 
@@ -127,6 +130,7 @@ proptest! {
                 "threshold matches diverge (round={})", round
             );
             let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(outcome.posteriors.len(), outcome.stats.evaluated);
             prop_assert_eq!(
                 bits(&outcome.posteriors),
                 bits(&reference.posteriors),

@@ -104,6 +104,8 @@ fn verify(observation: &Observation, reader: &SnapshotReader, query: &Graph, con
         "threshold matches diverged from the static engine at epoch {epoch}"
     );
     assert_eq!(observation.streamed, observation.matches);
+    assert_eq!(observation.posteriors.len(), expected.stats.evaluated);
+    assert_eq!(expected.posteriors.len(), expected.stats.evaluated);
     for (a, b) in observation.posteriors.iter().zip(&expected.posteriors) {
         assert_eq!(
             a.to_bits(),
@@ -133,7 +135,8 @@ fn run_interleaving(variant_tag: u8, ops: &[Op]) {
     let database = GraphDatabase::from_graphs(base);
     let config = GbdaConfig::new(2, 0.5)
         .with_sample_pairs(60)
-        .with_variant(variant_of(variant_tag));
+        .with_variant(variant_of(variant_tag))
+        .with_record_posteriors(true);
     let index = OfflineIndex::build(&database, &config).unwrap();
     let engine = ConcurrentEngine::new(DynamicDatabase::new(database), index, config.clone());
 

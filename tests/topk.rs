@@ -71,10 +71,14 @@ proptest! {
             let reference_engine = QueryEngine::new(
                 &database,
                 &index,
-                config.clone().with_variant(variant),
+                config
+                    .clone()
+                    .with_variant(variant)
+                    .with_record_posteriors(true),
             );
             for (q, query) in queries.iter().enumerate() {
                 let posteriors = reference_engine.search(query).posteriors;
+                prop_assert_eq!(posteriors.len(), n);
                 for k in [1usize, 5, n, n + 7] {
                     let expected = rank_by_posterior(&posteriors, k);
                     for cascade in [true, false] {
