@@ -9,7 +9,7 @@
 //!   sequential scan (`reference_search`), which re-evaluates the posterior
 //!   per graph and merges heap-allocated branch multisets;
 //! * `filter_cascade` — the cascade on/off ablation at 1 000 and 10 000
-//!   graphs (posterior recording off, so the bound stages can skip whole
+//!   graphs (posterior recording off, so the size bound can skip whole
 //!   size buckets).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbd_assignment::GreedyGed;

@@ -93,10 +93,8 @@ fn stats_json(outcome: &SearchOutcome) -> JsonValue {
     ])
 }
 
-/// Times one engine mode: warm-up runs (enough for the stage planner's
-/// profile to reach steady state — it needs 8 observed queries before its
-/// measured selectivities take over from the priors), then `repeats` timed
-/// runs.
+/// Times one engine mode: warm-up runs (which fill the posterior memo and
+/// the decision tables), then `repeats` timed runs.
 fn run_mode(
     name: &str,
     repeats: usize,

@@ -1,26 +1,17 @@
-//! Machine-readable scan-kernel micro-benchmark: times the pieces the
-//! hardware-fast scan path is built from and writes
-//! `results/BENCH_scan_kernel.json` so kernel-level perf is tracked across
-//! PRs, independently of the end-to-end online bench.
+//! Machine-readable postings-kernel micro-benchmark: writes
+//! `results/BENCH_scan_kernel.json` so the count filter's intersection
+//! kernel is tracked independently of the end-to-end online bench.
 //!
-//! Per database size, three sections:
-//!
-//! * `intersection` — the stage-3 postings kernel over the whole segment:
-//!   the pre-adaptive linear reference walk
-//!   (`FilterCascade::intersections_linear`) vs. the adaptive
-//!   chunked/galloping cursors (`FilterCascade::intersections`). The two
-//!   accumulators are asserted bit-identical on every run.
-//! * `search` — the full cascade-fast threshold scan with the stage planner
-//!   on (default) vs. pinned to the fixed pipeline
-//!   (`force_fixed_pipeline`); match sets are asserted identical.
-//! * `top_k` — the ranked scan under the same planner on/off split; hit
-//!   lists (ids and posteriors) are asserted identical.
+//! Per database size, one section, `intersection`: the stage-2 postings
+//! kernel over the whole segment, the pre-adaptive linear reference walk
+//! (`FilterCascade::intersections_linear`) vs. the adaptive
+//! chunked/galloping cursors (`FilterCascade::intersections`). The two
+//! accumulators are asserted bit-identical on every run.
 //!
 //! Usage: `bench_scan_kernel [--graphs N[,N…]] [--repeats K] [--out PATH]
-//! [--check]`. `--check` re-reads the written file and asserts the recorded
-//! bit-identity flags are all true and every search mode's counters
-//! partition the database — the CI guard against the adaptive kernel or the
-//! planner silently changing results.
+//! [--check]`. `--check` re-reads the written file and asserts every
+//! recorded bit-identity flag is true — the CI guard against the adaptive
+//! kernel silently changing results.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,7 +19,7 @@ use std::time::Instant;
 use gbd_bench::json::{self, JsonValue};
 use gbd_bench::workloads::mixed_size_online_workload;
 use gbd_graph::BranchMultiset;
-use gbda_core::{FilterCascade, GbdaConfig, GraphDatabase, OfflineIndex, QueryEngine};
+use gbda_core::{FilterCascade, GraphDatabase};
 
 struct Options {
     graphs: Vec<usize>,
@@ -97,12 +88,6 @@ fn bench_workload(n: usize, repeats: usize) -> JsonValue {
     eprintln!("# workload: {n} graphs");
     let (graphs, query) = mixed_size_online_workload(n);
     let database = GraphDatabase::from_graphs(graphs);
-    let config = GbdaConfig::new(5, 0.8)
-        .with_sample_pairs(500)
-        .with_record_posteriors(false);
-    let index = OfflineIndex::build(&database, &config).expect("offline stage builds");
-
-    // Section 1 — the stage-3 intersection kernel, whole segment.
     let multiset = BranchMultiset::from_graph(&query);
     let flat = database.catalog().flatten_lookup(&multiset);
     let cascade = FilterCascade::new(&database, &flat, None);
@@ -131,79 +116,6 @@ fn bench_workload(n: usize, repeats: usize) -> JsonValue {
          ({postings} postings)"
     );
 
-    // Section 2 — the threshold scan, planner on vs. fixed pipeline.
-    let planner_engine = QueryEngine::new(&database, &index, config.clone());
-    let fixed_engine = QueryEngine::new(
-        &database,
-        &index,
-        config.clone().with_force_fixed_pipeline(true),
-    );
-    // Warm the planner past its prior phase so the timed runs measure its
-    // steady-state schedule.
-    for _ in 0..10 {
-        std::hint::black_box(planner_engine.search(&query));
-    }
-    let planner_outcome = planner_engine.search(&query);
-    let fixed_outcome = fixed_engine.search(&query);
-    let planner_matches_fixed = planner_outcome.matches == fixed_outcome.matches;
-    assert!(
-        planner_matches_fixed,
-        "planner-scheduled search diverges from the fixed pipeline"
-    );
-    let planner_us = time_median(repeats, || planner_engine.search(&query));
-    let fixed_us = time_median(repeats, || fixed_engine.search(&query));
-    eprintln!(
-        "  search             planner {planner_us:>9.1} µs   fixed {fixed_us:>13.1} µs   \
-         (matches {})",
-        planner_outcome.matches.len()
-    );
-
-    // Section 3 — the ranked scan under the same split.
-    let k = 10.min(n);
-    for _ in 0..10 {
-        std::hint::black_box(planner_engine.search_top_k(&query, k));
-    }
-    let planner_top = planner_engine.search_top_k(&query, k);
-    let fixed_top = fixed_engine.search_top_k(&query, k);
-    let topk_matches_fixed = planner_top.hits.len() == fixed_top.hits.len()
-        && planner_top
-            .hits
-            .iter()
-            .zip(&fixed_top.hits)
-            .all(|(a, b)| a.id == b.id && a.posterior == b.posterior);
-    assert!(
-        topk_matches_fixed,
-        "planner-scheduled top-k diverges from the fixed pipeline"
-    );
-    let planner_topk_us = time_median(repeats, || planner_engine.search_top_k(&query, k));
-    let fixed_topk_us = time_median(repeats, || fixed_engine.search_top_k(&query, k));
-    eprintln!(
-        "  top_k (k={k})       planner {planner_topk_us:>9.1} µs   fixed \
-         {fixed_topk_us:>13.1} µs"
-    );
-
-    let stats_json = |stats: &gbda_core::SearchStats| {
-        let number = |v: usize| JsonValue::Number(v as f64);
-        JsonValue::Object(vec![
-            ("evaluated".into(), number(stats.evaluated)),
-            ("bound_rejected".into(), number(stats.bound_rejected)),
-            ("bound_accepted".into(), number(stats.bound_accepted)),
-            ("rank_rejected".into(), number(stats.rank_rejected)),
-            ("stage2_decided".into(), number(stats.stage2_decided)),
-            ("postings_resolved".into(), number(stats.postings_resolved)),
-            ("merged".into(), number(stats.merged)),
-            ("planned_scans".into(), number(stats.planned_scans)),
-            (
-                "plan_skipped_stage2".into(),
-                number(stats.plan_skipped_stage2),
-            ),
-            (
-                "plan_postings_first".into(),
-                number(stats.plan_postings_first),
-            ),
-        ])
-    };
-
     JsonValue::Object(vec![
         (
             "database_len".into(),
@@ -222,40 +134,11 @@ fn bench_workload(n: usize, repeats: usize) -> JsonValue {
                 ),
             ]),
         ),
-        (
-            "search".into(),
-            JsonValue::Object(vec![
-                ("planner_us".into(), JsonValue::Number(planner_us)),
-                ("fixed_us".into(), JsonValue::Number(fixed_us)),
-                (
-                    "matches".into(),
-                    JsonValue::Number(planner_outcome.matches.len() as f64),
-                ),
-                (
-                    "planner_matches_fixed".into(),
-                    JsonValue::Bool(planner_matches_fixed),
-                ),
-                ("planner_stats".into(), stats_json(&planner_outcome.stats)),
-                ("fixed_stats".into(), stats_json(&fixed_outcome.stats)),
-            ]),
-        ),
-        (
-            "top_k".into(),
-            JsonValue::Object(vec![
-                ("k".into(), JsonValue::Number(k as f64)),
-                ("planner_us".into(), JsonValue::Number(planner_topk_us)),
-                ("fixed_us".into(), JsonValue::Number(fixed_topk_us)),
-                (
-                    "planner_matches_fixed".into(),
-                    JsonValue::Bool(topk_matches_fixed),
-                ),
-            ]),
-        ),
     ])
 }
 
-/// The CI guard: the file parses, every recorded bit-identity flag is true,
-/// and every search variant's counters partition the database.
+/// The CI guard: the file parses and every workload recorded the adaptive
+/// kernel as bit-identical to the linear walk.
 fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let document = json::parse(&text).map_err(|e| format!("{path} does not parse: {e}"))?;
@@ -267,46 +150,13 @@ fn check(path: &str) -> Result<(), String> {
         return Err("no workloads recorded".into());
     }
     for workload in workloads {
-        let n = workload
-            .get("database_len")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing database_len")?;
-        for (section, flag) in [
-            ("intersection", "adaptive_matches_linear"),
-            ("search", "planner_matches_fixed"),
-            ("top_k", "planner_matches_fixed"),
-        ] {
-            let value = workload
-                .get(section)
-                .and_then(|s| s.get(flag))
-                .and_then(JsonValue::as_bool)
-                .ok_or(format!("missing {section}.{flag}"))?;
-            if !value {
-                return Err(format!("{section}.{flag} is false — results diverged"));
-            }
-        }
-        for stats_key in ["planner_stats", "fixed_stats"] {
-            let stats = workload
-                .get("search")
-                .and_then(|s| s.get(stats_key))
-                .ok_or(format!("missing search.{stats_key}"))?;
-            let field = |key: &str| {
-                stats
-                    .get(key)
-                    .and_then(JsonValue::as_usize)
-                    .ok_or(format!("missing search.{stats_key}.{key}"))
-            };
-            let partition = field("bound_rejected")?
-                + field("bound_accepted")?
-                + field("rank_rejected")?
-                + field("postings_resolved")?
-                + field("merged")?;
-            if partition != n {
-                return Err(format!(
-                    "search.{stats_key}: stage partition ({partition}) != database_len ({n}) — \
-                     a scan stage lost or double-counted graphs"
-                ));
-            }
+        let identical = workload
+            .get("intersection")
+            .and_then(|s| s.get("adaptive_matches_linear"))
+            .and_then(JsonValue::as_bool)
+            .ok_or("missing intersection.adaptive_matches_linear")?;
+        if !identical {
+            return Err("intersection.adaptive_matches_linear is false — results diverged".into());
         }
     }
     Ok(())
@@ -342,12 +192,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {}", options.out);
-    gbd_bench::write_telemetry_sidecar(&options.out);
     if options.check {
         match check(&options.out) {
-            Ok(()) => {
-                eprintln!("check passed: kernels bit-identical, every scan stage accounted for")
-            }
+            Ok(()) => eprintln!("check passed: adaptive kernel bit-identical to the linear walk"),
             Err(message) => {
                 eprintln!("check FAILED: {message}");
                 return ExitCode::FAILURE;

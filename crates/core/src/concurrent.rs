@@ -189,10 +189,9 @@ impl DynamicView for Generation {
 /// [`Self::publish`] (called by the writer) holds the write lock for a
 /// pointer swap only and never waits for in-flight queries, which keep
 /// their pinned `Arc` until they finish. All shared scan state (posterior
-/// memo, decision tables, planner profile) is internally synchronized and safe
-/// to share across generations: decision tables are keyed by the
-/// generation-dependent vertex cap, and the planner only reroutes cascade
-/// stages, which never changes results.
+/// memo, decision tables) is internally synchronized and safe to share
+/// across generations: decision tables are keyed by the
+/// generation-dependent vertex cap.
 pub struct SnapshotReader {
     index: OfflineIndex,
     scanner: Scanner,
@@ -658,12 +657,7 @@ mod tests {
             GbdaVariant::WeightedGbd { weight: 0.5 },
         ] {
             let (database, index, config) = setup();
-            // A fixed pipeline keeps the stage counters a function of the
-            // generation alone (the planner adapts to what it has observed).
-            let config = config
-                .with_variant(variant)
-                .with_force_fixed_pipeline(true)
-                .with_record_posteriors(true);
+            let config = config.with_variant(variant).with_record_posteriors(true);
             let engine = ConcurrentEngine::new(database, index, config);
             // The pinned generation already has a delta and an overlay, so
             // both are truncated, not merely empty.

@@ -51,19 +51,6 @@ pub struct GbdaConfig {
     /// bit-identical with the cascade on or off; disabling it forces the
     /// exact flat merge for every graph (the pre-cascade scan).
     pub filter_cascade: bool,
-    /// Escape hatch for the per-query stage planner of
-    /// [`crate::filter::planner`]. By default (`false`) every scan asks the
-    /// planner which cascade stages to run — whether the bound stages pay at
-    /// all, whether the stage-2 refinement pays, and whether stage 3 goes
-    /// postings-first or bound-first — based on collected [`SearchStats`]
-    /// selectivities (static priors before enough queries were observed).
-    /// Setting it to `true` pins the fixed stage-1 → stage-2 → count-filter
-    /// pipeline. Results are bit-identical either way: planner decisions
-    /// only move graphs between a conservative bound stage and the exact
-    /// count filter.
-    ///
-    /// [`SearchStats`]: crate::SearchStats
-    pub force_fixed_pipeline: bool,
     /// The telemetry level this engine *requires* of the process-wide
     /// layer (see the `gbd-telemetry` crate). Engine construction applies
     /// it via `gbd_telemetry::escalate_level` — monotone: it can raise the
@@ -89,7 +76,6 @@ impl Default for GbdaConfig {
             variant: GbdaVariant::Standard,
             record_posteriors: false,
             filter_cascade: true,
-            force_fixed_pipeline: false,
             telemetry: TelemetryLevel::Metrics,
         }
     }
@@ -133,14 +119,6 @@ impl GbdaConfig {
     /// Overrides whether scans run the filter cascade of [`crate::filter`].
     pub fn with_filter_cascade(mut self, enabled: bool) -> Self {
         self.filter_cascade = enabled;
-        self
-    }
-
-    /// Overrides the planner escape hatch: `true` pins the fixed
-    /// stage-1 → stage-2 → count-filter pipeline instead of letting the
-    /// per-query planner skip or reorder stages.
-    pub fn with_force_fixed_pipeline(mut self, force: bool) -> Self {
-        self.force_fixed_pipeline = force;
         self
     }
 
@@ -222,7 +200,6 @@ mod tests {
         assert_eq!(c.variant, GbdaVariant::Standard);
         assert!(!c.record_posteriors, "threshold search returns ids only");
         assert!(c.filter_cascade);
-        assert!(!c.force_fixed_pipeline, "the planner is on by default");
         assert_eq!(
             c.telemetry,
             TelemetryLevel::Metrics,
@@ -236,12 +213,6 @@ mod tests {
         assert_eq!(c.telemetry, TelemetryLevel::Off);
         let c = c.with_telemetry(TelemetryLevel::MetricsAndTraces);
         assert_eq!(c.telemetry, TelemetryLevel::MetricsAndTraces);
-    }
-
-    #[test]
-    fn planner_escape_hatch_pins_the_fixed_pipeline() {
-        let c = GbdaConfig::default().with_force_fixed_pipeline(true);
-        assert!(c.force_fixed_pipeline);
     }
 
     #[test]

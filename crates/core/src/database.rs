@@ -49,12 +49,13 @@ pub struct Posting {
 }
 
 /// The per-graph scan aggregates, packed into one 16-byte record so the
-/// bound stages of the filter cascade read a single cache line per four
-/// graphs instead of striding four parallel arrays.
+/// scan reads a single cache line per four graphs instead of striding four
+/// parallel arrays.
 ///
-/// Everything stage 1 and stage 2 of [`crate::FilterCascade`] need about a
-/// graph lives here; the kernel's chunked classification loop walks a
-/// `&[GraphAggregate]` slice sequentially and never touches the `Graph`.
+/// Everything the scan kernel needs to know about a graph besides its
+/// postings — size and size bucket — lives here, and the kernel never
+/// touches the `Graph`. `runs` and `max_run` are no longer read by any scan
+/// stage; they stay because snapshots persist them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct GraphAggregate {
@@ -292,7 +293,7 @@ impl GraphDatabase {
     }
 
     /// The packed per-graph scan aggregates, one [`GraphAggregate`] per
-    /// graph — what the kernel's chunked bound stages iterate.
+    /// graph — what the kernel's chunked scan iterates.
     pub fn aggregates(&self) -> &[GraphAggregate] {
         &self.aggregates
     }

@@ -1,8 +1,8 @@
 //! The static view of the scan driver: [`QueryEngine`].
 //!
-//! The online stage itself — flatten, plan, cutoff, scan, book — is written
-//! once, in the crate-private scan driver (`scan.rs`), which also owns the
-//! posterior memo, the decision tables and the stage planner. A
+//! The online stage itself — flatten, cutoff, scan, book — is written once,
+//! in the crate-private scan driver (`scan.rs`), which also owns the
+//! posterior memo and the decision tables. A
 //! [`QueryEngine`] is that driver pointed at an immutable
 //! [`GraphDatabase`]: **one unmasked part** whose slots are their own ids.
 //! ([`crate::DynamicEngine`] is the other view shape: a base part and a
@@ -18,8 +18,8 @@
 //! Per pair, the hot path depends on [`GbdaConfig::filter_cascade`]. With
 //! the cascade on (the default), most graphs are resolved by the pruning
 //! layer of [`crate::filter`]: whole size buckets are accepted or rejected
-//! from the L1 size bound, per-graph aggregates refine the bound, and the
-//! inverted-index count filter supplies the exact `ϕ` of the survivors —
+//! from the L1 size bound, and the inverted-index count filter supplies the
+//! exact `ϕ` of the survivors —
 //! without merging a single branch run. With the cascade off, every pair
 //! pays one branchless merge over the flat interned branch runs, then a
 //! single integer comparison against the per-size ϕ threshold or, when that
@@ -238,9 +238,9 @@ impl<'a> QueryEngine<'a> {
     /// their posteriors, and no full posterior array is materialised.
     ///
     /// With the cascade on, the running k-th-best posterior of the heap is
-    /// converted into a per-extended-size ϕ cutoff via the monotone
-    /// posterior suffix-maximum tables ([`RankDecision`]) and fed back into
-    /// the [`crate::FilterCascade`] bound stages — a dynamically
+    /// tested against the monotone posterior suffix-maximum tables
+    /// ([`RankDecision`]) over each size bucket's [`crate::FilterCascade`]
+    /// ϕ interval — a dynamically
     /// *tightening* bound that rejects ever more graphs as better
     /// candidates accumulate.
     ///

@@ -1,4 +1,4 @@
-//! The candidate-pruning layer: a cascade of monotone GBD bounds plus the
+//! The candidate-pruning layer: a monotone GBD size bound plus the
 //! inverted-index count filter.
 //!
 //! The online decision for one database graph `G` only needs the posterior
@@ -7,21 +7,19 @@
 //! every graph in a size bucket, the whole decision collapses to "where does
 //! ϕ fall inside this bucket's [`SizeDecision`]": an *accepting prefix*
 //! `ϕ ≤ accept_max` and a *rejecting suffix* `ϕ ≥ reject_min`, both derived
-//! from the same memoized posterior the exact path evaluates. A graph can
-//! therefore be resolved from *bounds* on ϕ alone:
+//! from the same memoized posterior the exact path evaluates. A graph is
+//! resolved in one of two stages:
 //!
 //! 1. **L1 size bound** — `|B_Q ∩ B_G| ≤ min(known(Q), |G|)`, so
 //!    `ϕ ≥ max(|Q|, |G|) − min(known(Q), |G|)`. Constant per size bucket:
-//!    whole buckets are accepted or rejected with two comparisons.
-//! 2. **Distinct-run bound** — at most `min(d_Q, d_G)` distinct branches can
-//!    match, each at most `min(maxrun_Q, maxrun_G)` times. Per graph, still
-//!    only aggregate reads.
-//! 3. **Partial-intersection count filter** — walking the query's runs over
+//!    whole buckets are accepted or rejected with two comparisons, from ϕ
+//!    bounds alone.
+//! 2. **Partial-intersection count filter** — walking the query's runs over
 //!    the database's inverted postings accumulates the *exact*
 //!    `|B_Q ∩ B_G|` for every graph in a range, so ϕ is known exactly
 //!    without merging a single run pair.
 //!
-//! Every stage is conservative: a bound decides only when the entire
+//! Both stages are conservative: the bound decides only when the entire
 //! possible ϕ interval lands inside the accepting prefix or the rejecting
 //! suffix, and the count filter reproduces the merge's intersection
 //! bit-for-bit, so cascade results are identical to the exact scan.
@@ -32,8 +30,8 @@
 //!
 //! - **Packed aggregates** — [`SegmentIndex::aggregates`] exposes one
 //!   16-byte [`GraphAggregate`] record per graph (size, bucket, distinct
-//!   runs, max run multiplicity), so the stage-1/2 sweep streams one
-//!   contiguous array instead of gathering from four parallel vectors.
+//!   runs, max run multiplicity), so the scan streams one contiguous array
+//!   instead of gathering from parallel vectors.
 //! - **Adaptive postings cursors** — [`PostingsCursors`] walks each query
 //!   run's postings list with a monotone cursor that is *reused across
 //!   sub-ranges* (a chunked scan does O(postings) total work, not a fresh
@@ -43,11 +41,6 @@
 //!   accumulated intersection is bit-identical to the linear reference walk
 //!   ([`FilterCascade::intersections_linear`]) because `u32` addition is
 //!   associative and each posting is visited exactly once.
-//!
-//! The per-query stage *planner* built on top of these lives in
-//! [`planner`].
-
-pub mod planner;
 
 use std::ops::Range;
 
@@ -64,8 +57,8 @@ use crate::posterior_cache::PosteriorCache;
 pub trait SegmentIndex {
     /// The packed per-graph scan aggregates, one 16-byte record per graph
     /// in segment-local index order. This is the array the scan kernel's
-    /// chunked stage-1/2 sweep streams; the per-graph accessors below are
-    /// derived views of it.
+    /// chunked scan streams; the per-graph accessors below are derived
+    /// views of it.
     fn aggregates(&self) -> &[GraphAggregate];
 
     /// The maximal constant-bucket index intervals over
@@ -343,13 +336,13 @@ impl SizeDecision {
     }
 }
 
-/// Per-query pruning state: the query's flat runs plus the handful of
-/// aggregates the bound stages read.
+/// Per-query pruning state: the query's flat runs plus the two counts the
+/// size bound reads.
 ///
 /// The cascade is variant-aware: for GBDA-V2 the observed distance is the
 /// weighted `VGBD = max{|V1|, |V2|} − w · |B_Q ∩ B_G|` (Equation 26), which
 /// is monotone in the intersection only for `w ≥ 0` — [`Self::bounds_usable`]
-/// gates the bound stages accordingly, while the count filter stays exact
+/// gates the size bound accordingly, while the count filter stays exact
 /// for any weight.
 #[derive(Debug)]
 pub struct FilterCascade<'a, S: SegmentIndex = GraphDatabase> {
@@ -359,10 +352,6 @@ pub struct FilterCascade<'a, S: SegmentIndex = GraphDatabase> {
     query_total: usize,
     /// Query branches with a catalogued id (only these can intersect).
     query_known: usize,
-    /// Number of distinct catalogued query runs.
-    query_known_runs: usize,
-    /// Largest multiplicity among the catalogued query runs.
-    query_max_run: u32,
     /// `Some(w)` for GBDA-V2, `None` for the plain GBD.
     weight: Option<f64>,
 }
@@ -378,13 +367,11 @@ impl<'a, S: SegmentIndex> FilterCascade<'a, S> {
             query,
             query_total: view.len(),
             query_known: view.known_len(),
-            query_known_runs: view.known_runs().len(),
-            query_max_run: view.max_known_run_count(),
             weight,
         }
     }
 
-    /// Whether the bound stages may be used: the observed distance must be
+    /// Whether the size bound may be used: the observed distance must be
     /// monotone non-increasing in the intersection size. Always true for the
     /// plain GBD; true for the weighted variant only when `w ≥ 0`.
     pub fn bounds_usable(&self) -> bool {
@@ -421,20 +408,6 @@ impl<'a, S: SegmentIndex> FilterCascade<'a, S> {
         )
     }
 
-    /// Stage 2's intersection upper bound for one packed aggregate record:
-    /// at most `min(d_Q, d_G)` distinct branches can match, each
-    /// contributing at most `min(maxrun_Q, maxrun_G)` copies, and never more
-    /// than `min(known(Q), |G|)` in total. Computed in `u64` so the
-    /// runs × per-run product cannot overflow; the result fits `u32` because
-    /// it is capped by the graph's `u32` size.
-    pub fn stage2_inter_ub(&self, agg: GraphAggregate) -> u32 {
-        let runs = (self.query_known_runs as u64).min(agg.runs as u64);
-        let per_run = (self.query_max_run as u64).min(agg.max_run as u64);
-        (self.query_known as u64)
-            .min(agg.size as u64)
-            .min(runs * per_run) as u32
-    }
-
     /// The ϕ value of every possible intersection for a graph of
     /// `graph_total` vertices: `table[inter] = ϕ(inter)` for
     /// `inter ∈ [0, min(known(Q), graph_total)]`. Non-increasing whenever
@@ -458,19 +431,7 @@ impl<'a, S: SegmentIndex> FilterCascade<'a, S> {
             .collect()
     }
 
-    /// Stage 2 — the distinct-run refinement for one graph. A thin per-graph
-    /// view of [`Self::stage2_inter_ub`], so the scalar and chunked sweeps
-    /// compute the same bound by construction.
-    pub fn refined_bounds(&self, graph: usize) -> (u64, u64) {
-        let agg = self.database.aggregates()[graph];
-        let inter_ub = self.stage2_inter_ub(agg) as usize;
-        (
-            self.phi_from_intersection(agg.size as usize, inter_ub),
-            self.phi_from_intersection(agg.size as usize, 0),
-        )
-    }
-
-    /// Builds the resumable per-run cursors for stage 3. One set of cursors
+    /// Builds the resumable per-run cursors for stage 2. One set of cursors
     /// serves an entire ascending scan: feeding consecutive sub-ranges to
     /// [`PostingsCursors::accumulate`] walks every postings list exactly
     /// once in total, however the scan is chunked.
@@ -489,7 +450,7 @@ impl<'a, S: SegmentIndex> FilterCascade<'a, S> {
         }
     }
 
-    /// Stage 3 — the count filter: walks the query's runs over the inverted
+    /// Stage 2 — the count filter: walks the query's runs over the inverted
     /// postings and accumulates the **exact** multiset intersection
     /// `|B_Q ∩ B_G|` for every graph in `range` (indexed relative to
     /// `range.start`). Graphs sharing no branch with the query are never
@@ -553,7 +514,7 @@ struct CursorRun<'a> {
     pos: usize,
 }
 
-/// The adaptive stage-3 intersection kernel: per-run monotone cursors over
+/// The adaptive stage-2 intersection kernel: per-run monotone cursors over
 /// the query's postings lists, fed ascending, non-overlapping graph ranges.
 ///
 /// Two properties make it fast without changing a single accumulated bit:
@@ -704,10 +665,7 @@ mod tests {
                 for (i, &acc_i) in acc.iter().enumerate() {
                     let phi = cascade.phi_exact(i, acc_i);
                     let (lb1, ub1) = cascade.size_bounds(db.size_of(i));
-                    let (lb2, ub2) = cascade.refined_bounds(i);
                     assert!(lb1 <= phi && phi <= ub1, "stage-1 bound violated on {i}");
-                    assert!(lb2 <= phi && phi <= ub2, "stage-2 bound violated on {i}");
-                    assert!(lb2 >= lb1, "stage 2 must refine stage 1");
                 }
             }
         }
@@ -769,16 +727,14 @@ mod tests {
             flat.as_view().gbd(db.flat(0)) as u64
         );
         let (lb1, ub1) = cascade.size_bounds(db.size_of(0));
-        let (lb2, ub2) = cascade.refined_bounds(0);
         let phi = cascade.phi_exact(0, acc[0]);
         assert!(lb1 <= phi && phi <= ub1);
-        assert!(lb2 <= phi && phi <= ub2);
-        // Self-query: the exact ϕ is 0 and the bounds must allow it.
+        // Self-query: the exact ϕ is 0 and the size bound must allow it.
         let self_flat = db.catalog().flatten_graph(db.graph(0));
         let self_cascade = FilterCascade::new(&db, &self_flat, None);
         let self_acc = self_cascade.intersections(0..1);
         assert_eq!(self_cascade.phi_exact(0, self_acc[0]), 0);
-        assert_eq!(self_cascade.refined_bounds(0).0, 0);
+        assert_eq!(self_cascade.size_bounds(db.size_of(0)).0, 0);
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //! loop exactly once, over a cutoff policy ([`Cutoff`]), a result sink
 //! ([`Sink`]) and a segment ([`SegmentIndex`]) — and exactly one piece of
 //! code calls it: the crate-private scan driver (`scan.rs`), which also
-//! owns the posterior memo, the decision tables and the stage planner.
+//! owns the posterior memo and the decision tables.
 //!
 //! # One driver, two view shapes
 //!
 //! A run of the driver flattens the query, then for each **part** of the
-//! view (a segment, a tombstone mask, a slot → id map) asks the planner for
-//! a schedule, builds the kernel, prepares the cutoff of the run's **mode**
-//! and scans the part's slots, in ascending order on the calling thread,
-//! into the run's one sink, one stats block and one local posterior memo;
-//! it then books the plans, feeds the planner and flushes the telemetry.
+//! view (a segment, a tombstone mask, a slot → id map) builds the kernel,
+//! prepares the cutoff of the run's **mode** and scans the part's slots, in
+//! ascending order on the calling thread, into the run's one sink, one
+//! stats block and one local posterior memo; it then flushes the telemetry.
 //! The modes fix the cutoff and the sinks that make sense with it:
 //!
 //! | mode | cutoff | sinks | public API |
@@ -47,23 +46,20 @@
 //!
 //! # The chunked bound sweep
 //!
-//! With the cascade on, the scan walks the segment's packed
-//! [`GraphAggregate`] records in 64-graph chunks. Per chunk it compiles (or
-//! reuses) one [`BucketPlan`] per size bucket under the sink's current
-//! bound — the stage-1 verdict plus a stage-2 *reject threshold* on the
-//! intersection upper bound — and sweeps the chunk's aggregates into
-//! branchless accept/reject `u64` words (one comparison-derived bit per
-//! graph, no branches in the loop body). Stage-3 postings are accumulated
-//! through resumable [`PostingsCursors`], either eagerly per chunk
-//! (postings-first) or only for chunks the bounds left undecided
-//! (bound-first) — the per-query [`planner`](crate::filter::planner) picks,
-//! and [`ScanKernel::new`] takes, the schedule. Accepts and exact
-//! resolutions are then delivered in ascending index order; under a
-//! tightening rank bound each undecided graph is re-tested against the
-//! *freshest* bound before resolving (plans are recompiled when the bound
-//! moved), so the chunked sweep reproduces the per-graph scan bit for bit —
-//! results and stats counters alike. Bounds only tighten, so chunk-start
-//! rejections always remain valid.
+//! With the cascade on, every part runs one schedule. The scan walks the
+//! segment in 64-graph chunks grouped into superchunks. Whenever the cutoff
+//! prunes, it compiles (or reuses) one [`BucketPlan`] per size bucket under
+//! the sink's current bound and classifies each chunk's constant-bucket
+//! intervals into branchless accept/reject `u64` words with the stage-1 size
+//! bound (one bit per graph, one plan lookup per interval). Stage-2
+//! postings are then accumulated through resumable [`PostingsCursors`], but
+//! only for superchunks in which some graph is still undecided
+//! (bound-first). Accepts and exact resolutions are delivered in ascending
+//! index order; under a tightening rank bound each undecided graph is
+//! re-tested against the *freshest* bound before resolving (plans are
+//! recompiled when the bound moved), so the chunked sweep reproduces the
+//! per-graph scan bit for bit — results and stats counters alike. Bounds
+//! only tighten, so chunk-start rejections always remain valid.
 //!
 //! # Accounting
 //!
@@ -74,18 +70,13 @@
 //! instantiation:
 //!
 //! * `bound_accepted` / `bound_rejected` — decided by the stage-1 size bound
-//!   or the stage-2 distinct-run refinement under a [`StaticPhi`] cutoff;
-//! * `rank_rejected` — decided by the same bound stages under a
-//!   [`TighteningRank`] cutoff;
-//! * `postings_resolved` — survived to the stage-3 count filter, which
+//!   under a [`StaticPhi`] cutoff;
+//! * `rank_rejected` — decided by the same bound under a [`TighteningRank`]
+//!   cutoff;
+//! * `postings_resolved` — survived to the stage-2 count filter, which
 //!   resolves the exact ϕ from the inverted postings;
 //! * `merged` — cascade disabled; ϕ came from a full flat-run merge.
 //!
-//! `stage2_decided` additionally counts the subset of bound decisions made
-//! specifically by stage 2 — the marginal selectivity the planner's cost
-//! model feeds on.
-//!
-//! [`GraphAggregate`]: crate::database::GraphAggregate
 //! [`PostingsCursors`]: crate::filter::PostingsCursors
 //! [`QueryEngine`]: crate::QueryEngine
 //! [`DynamicEngine`]: crate::DynamicEngine
@@ -95,7 +86,6 @@ use std::sync::Arc;
 
 use gbd_graph::FlatBranchSet;
 
-use crate::filter::planner::QueryPlan;
 use crate::filter::{FilterCascade, RankDecision, SegmentIndex, SizeDecision};
 use crate::search::SearchStats;
 use crate::topk::{RankedHit, TopKHeap};
@@ -124,37 +114,29 @@ pub enum BoundClass {
 }
 
 /// One size bucket's compiled verdict under a specific bound: everything
-/// the chunked sweep needs to classify a graph of that bucket with two
-/// branch-free comparisons.
+/// the chunked sweep needs to classify a graph of that bucket.
 ///
 /// `class` is the stage-1 verdict of the bucket's ϕ interval (constant over
-/// the bucket). `reject_below` encodes the stage-2 distinct-run refinement:
-/// in an [`BoundClass::Undecided`] bucket, a graph is rejected exactly when
-/// its intersection upper bound ([`FilterCascade::stage2_inter_ub`]) is
-/// `< reject_below` — the ϕ table is non-increasing in the intersection, so
-/// the stage-2 interval test collapses to one integer comparison. `0` means
-/// stage 2 can never reject in this bucket (or was planned away).
+/// the bucket).
 ///
-/// The remaining three fields pre-compile the cutoff's **stage-3** verdict
-/// ([`Cutoff::classify_phi`]) into intersection space, again exploiting the
+/// The remaining three fields pre-compile the cutoff's **stage-2** verdict
+/// ([`Cutoff::classify_phi`]) into intersection space, exploiting the
 /// non-increasing ϕ table: for a graph with exact intersection `inter`,
 /// `classify_phi(bucket, table[inter])` equals `Accept` iff
 /// `inter ≥ accept_from`, `Reject` iff `reject_lo ≤ inter < reject_hi`, and
 /// `Undecided` otherwise — so the delivery loop resolves most graphs with
 /// three `u32` comparisons and never touches the ϕ table except to feed a
-/// posterior lookup. A cutoff that never fast-classifies at stage 3 (the
+/// posterior lookup. A cutoff that never fast-classifies at stage 2 (the
 /// rank bound) compiles the empty thresholds (`u32::MAX`, `0`, `0`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketPlan {
     /// Stage-1 verdict, shared by every graph in the bucket.
     pub class: BoundClass,
-    /// Stage-2 rejection threshold on the intersection upper bound.
-    pub reject_below: u32,
-    /// Stage-3: smallest exact intersection that fast-accepts.
+    /// Stage 2: smallest exact intersection that fast-accepts.
     pub accept_from: u32,
-    /// Stage-3: start of the fast-rejecting intersection interval.
+    /// Stage 2: start of the fast-rejecting intersection interval.
     pub reject_lo: u32,
-    /// Stage-3: one-past-the-end of the fast-rejecting interval.
+    /// Stage 2: one-past-the-end of the fast-rejecting interval.
     pub reject_hi: u32,
 }
 
@@ -167,32 +149,30 @@ pub struct BucketPlan {
 /// top-k heap). See the [module docs](self) for which API uses which.
 pub trait Cutoff {
     /// Whether any bound tables exist at all. When `false` the kernel skips
-    /// the bound stages entirely and resolves every graph.
+    /// the size bound entirely and resolves every graph.
     fn prunes(&self) -> bool;
 
     /// Compiles one [`BucketPlan`] per size bucket into `plans` under the
     /// sink's current `bound` (the running k-th-best posterior for ranked
     /// sinks, `None` otherwise). `tables` holds each bucket's ϕ table
-    /// ([`FilterCascade::bucket_phi_tables`]); `use_stage2 == false` zeroes
-    /// every `reject_below` (the planner skipped stage 2). Returns `false`
-    /// when nothing can prune under this bound — no tables (recording
-    /// mode), or a rank cutoff whose heap has not filled yet — in which
-    /// case `plans` is left untouched and every graph is undecided.
+    /// ([`FilterCascade::bucket_phi_tables`]). Returns `false` when nothing
+    /// can prune under this bound — no tables (recording mode), or a rank
+    /// cutoff whose heap has not filled yet — in which case `plans` is left
+    /// untouched and every graph is undecided.
     fn plan_buckets(
         &self,
         bound: Option<f64>,
-        use_stage2: bool,
         tables: &[Vec<u64>],
         plans: &mut Vec<BucketPlan>,
     ) -> bool;
 
-    /// Stage 3 — classify one graph from its *exact* ϕ. `Undecided` means
+    /// Stage 2 — classify one graph from its *exact* ϕ. `Undecided` means
     /// the posterior must be resolved and [`Self::admits`] consulted.
     fn classify_phi(&self, bucket: usize, phi: u64) -> BoundClass;
 
     /// The merge-path (cascade disabled) counterpart of
     /// [`Self::classify_phi`]: may fast-*accept* from ϕ, never rejects —
-    /// the merge scan has no bound stages to make rejection sound cheaper
+    /// the merge scan has no bound stage to make rejection sound cheaper
     /// than the posterior lookup it replaces.
     fn merge_classify_phi(&self, bucket: usize, phi: u64) -> BoundClass;
 
@@ -278,7 +258,6 @@ impl Cutoff for StaticPhi {
     fn plan_buckets(
         &self,
         _bound: Option<f64>,
-        use_stage2: bool,
         tables: &[Vec<u64>],
         plans: &mut Vec<BucketPlan>,
     ) -> bool {
@@ -288,20 +267,7 @@ impl Cutoff for StaticPhi {
         plans.clear();
         plans.extend(self.classes.iter().zip(&self.decisions).zip(tables).map(
             |((&class, decision), table)| {
-                // Stage 2 can never *accept* in an undecided bucket (its
-                // ϕ upper bound equals stage 1's, which already failed
-                // the accept test), so the refinement reduces to the
-                // reject half of `classify_interval`: in an undecided
-                // bucket with `ub1 ≤ cap`, reject exactly the graphs
-                // whose intersection upper bound keeps ϕ ≥ reject_min —
-                // a prefix of the non-increasing ϕ table.
-                let reject_below =
-                    if use_stage2 && class == BoundClass::Undecided && table[0] <= decision.cap {
-                        table.partition_point(|&phi| phi >= decision.reject_min) as u32
-                    } else {
-                        0
-                    };
-                // Stage-3 thresholds: `accepts(ϕ)` is a suffix of the
+                // Stage-2 thresholds: `accepts(ϕ)` is a suffix of the
                 // non-increasing table, `rejects(ϕ)` (`reject_min ≤ ϕ ≤
                 // cap`) an interior interval.
                 let accept_from = match decision.accept_max {
@@ -310,7 +276,6 @@ impl Cutoff for StaticPhi {
                 };
                 BucketPlan {
                     class,
-                    reject_below,
                     accept_from,
                     reject_lo: table.partition_point(|&phi| phi > decision.cap) as u32,
                     reject_hi: table.partition_point(|&phi| phi >= decision.reject_min) as u32,
@@ -394,8 +359,7 @@ impl Cutoff for TighteningRank {
     fn plan_buckets(
         &self,
         bound: Option<f64>,
-        use_stage2: bool,
-        tables: &[Vec<u64>],
+        _tables: &[Vec<u64>],
         plans: &mut Vec<BucketPlan>,
     ) -> bool {
         if self.buckets.is_empty() {
@@ -406,44 +370,22 @@ impl Cutoff for TighteningRank {
             return false;
         };
         plans.clear();
-        plans.extend(
-            self.buckets
-                .iter()
-                .zip(tables)
-                .map(|((decision, (lb1, ub1)), table)| {
-                    // A rank cutoff never fast-classifies at stage 3 (every
-                    // kept candidate needs its exact posterior), so both
-                    // stage-3 thresholds stay empty.
-                    if decision.rejects_from(*lb1, *ub1, bound) {
-                        BucketPlan {
-                            class: BoundClass::Reject,
-                            reject_below: 0,
-                            accept_from: u32::MAX,
-                            reject_lo: 0,
-                            reject_hi: 0,
-                        }
-                    } else {
-                        // `rejects_from(lb2, ub1, bound) ⟺ ub1 ≤ cap ∧
-                        // lb2 ≥ cutoff(bound)` (proven by the RankDecision unit
-                        // tests), and lb2 is a non-increasing function of the
-                        // intersection upper bound — so stage-2 rejection is a
-                        // prefix of the ϕ table here too.
-                        let reject_below = if use_stage2 && *ub1 <= decision.cap {
-                            let cutoff_phi = decision.cutoff(bound);
-                            table.partition_point(|&phi| phi >= cutoff_phi) as u32
-                        } else {
-                            0
-                        };
-                        BucketPlan {
-                            class: BoundClass::Undecided,
-                            reject_below,
-                            accept_from: u32::MAX,
-                            reject_lo: 0,
-                            reject_hi: 0,
-                        }
-                    }
-                }),
-        );
+        plans.extend(self.buckets.iter().map(|(decision, (lb1, ub1))| {
+            // A rank cutoff never fast-classifies at stage 2 (every kept
+            // candidate needs its exact posterior), so both stage-2
+            // thresholds stay empty.
+            let class = if decision.rejects_from(*lb1, *ub1, bound) {
+                BoundClass::Reject
+            } else {
+                BoundClass::Undecided
+            };
+            BucketPlan {
+                class,
+                accept_from: u32::MAX,
+                reject_lo: 0,
+                reject_hi: 0,
+            }
+        }));
         true
     }
 
@@ -469,7 +411,7 @@ impl Cutoff for TighteningRank {
 /// The kernel calls [`Sink::accept`] for graphs proven to be hits *without*
 /// a posterior (threshold fast path) and [`Sink::offer`] for graphs whose
 /// posterior was resolved. [`Sink::bound`] feeds the cutoff's tightening
-/// bound back into the bound stages (ranked sinks only).
+/// bound back into the size bound (ranked sinks only).
 pub trait Sink<I: Copy> {
     /// The sink's current pruning bound — the k-th-best posterior of a full
     /// top-k heap, `None` for unbounded sinks.
@@ -605,7 +547,6 @@ pub struct ScanKernel<'q, S: SegmentIndex> {
     query_size: usize,
     fixed_extended_size: Option<usize>,
     weight: Option<f64>,
-    plan: QueryPlan,
 }
 
 impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
@@ -613,9 +554,7 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
     /// must be flattened against the segment's catalog (or an extension of
     /// it); `fixed_extended_size` is `Some` under GBDA-V1, `weight` under
     /// GBDA-V2; `use_cascade` mirrors
-    /// [`GbdaConfig::filter_cascade`](crate::GbdaConfig). `plan` is the stage
-    /// schedule — the planner's choice or [`QueryPlan::fixed`]; any plan
-    /// yields bit-identical results, only the work schedule changes.
+    /// [`GbdaConfig::filter_cascade`](crate::GbdaConfig).
     pub fn new(
         segment: &'q S,
         query_flat: &'q FlatBranchSet,
@@ -623,7 +562,6 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
         fixed_extended_size: Option<usize>,
         weight: Option<f64>,
         use_cascade: bool,
-        plan: QueryPlan,
     ) -> Self {
         let cascade = use_cascade.then(|| FilterCascade::new(segment, query_flat, weight));
         ScanKernel {
@@ -633,7 +571,6 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
             query_size,
             fixed_extended_size,
             weight,
-            plan,
         }
     }
 
@@ -669,9 +606,7 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
         let range = 0..self.segment.segment_len();
         match &self.cascade {
             Some(cascade) => {
-                let prune = self.plan.use_bounds && cascade.bounds_usable() && cutoff.prunes();
-                let use_stage2 = self.plan.use_stage2;
-                let postings_first = self.plan.postings_first;
+                let prune = cascade.bounds_usable() && cutoff.prunes();
                 // Per-bucket ϕ tables: the raw material bucket plans are
                 // compiled from (bound-independent, built once per scan).
                 let tables = if prune {
@@ -707,18 +642,15 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                         let bound = sink.bound();
                         let key = bound.map(f64::to_bits);
                         if compiled_for != Some(key) {
-                            plans_active =
-                                cutoff.plan_buckets(bound, use_stage2, &tables, &mut plans);
+                            plans_active = cutoff.plan_buckets(bound, &tables, &mut plans);
                             compiled_for = Some(key);
                         }
                         words_key = Some(key);
                     }
 
-                    // Phase 1 — stages 1 + 2 across every chunk: stage 1
-                    // classifies whole constant-bucket intervals with one
-                    // plan lookup and a mask merge; stage 2 touches
-                    // per-graph aggregates only inside undecided intervals
-                    // with a non-trivial reject threshold.
+                    // Phase 1 — stage 1 across every chunk: whole
+                    // constant-bucket intervals are classified with one
+                    // plan lookup and a mask merge.
                     let mut accept_words = [0u64; SUPER_CHUNKS];
                     let mut undecided_words = [0u64; SUPER_CHUNKS];
                     let mut any_undecided = false;
@@ -744,13 +676,11 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                         let mut accept = 0u64;
                         let mut reject = 0u64;
                         if prune && plans_active && live != 0 {
-                            let mut reject2 = 0u64;
                             let mut pos = chunk_start;
                             let mut rr = run_idx;
                             while pos < chunk_end {
                                 let run = bucket_runs[rr];
                                 let interval_end = (run.end as usize).min(chunk_end);
-                                let plan = plans[run.bucket as usize];
                                 let offset = pos - chunk_start;
                                 let len = interval_end - pos;
                                 let bits = if len == CHUNK {
@@ -758,18 +688,9 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                                 } else {
                                     ((1u64 << len) - 1) << offset
                                 };
-                                match plan.class {
+                                match plans[run.bucket as usize].class {
                                     BoundClass::Accept => accept |= bits,
                                     BoundClass::Reject => reject |= bits,
-                                    BoundClass::Undecided if plan.reject_below > 0 => {
-                                        for (j, agg) in
-                                            aggregates[pos..interval_end].iter().enumerate()
-                                        {
-                                            let stage2 =
-                                                cascade.stage2_inter_ub(*agg) < plan.reject_below;
-                                            reject2 |= (stage2 as u64) << (offset + j);
-                                        }
-                                    }
                                     BoundClass::Undecided => {}
                                 }
                                 pos = interval_end;
@@ -777,10 +698,7 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                             }
                             accept &= live;
                             reject &= live;
-                            reject2 &= live;
                             stats.bound_accepted += accept.count_ones() as usize;
-                            stats.stage2_decided += reject2.count_ones() as usize;
-                            reject |= reject2;
                             cutoff.count_pruned_n(stats, reject.count_ones() as usize);
                         }
                         // Keep the run cursor aligned even when the sweep
@@ -796,14 +714,13 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                         any_undecided |= undecided != 0;
                     }
 
-                    // Phase 2 — stage 3 postings for the whole superchunk in
-                    // one accumulation: eager under a postings-first plan,
-                    // otherwise only when some chunk stayed undecided. The
-                    // cursors resume where the previous superchunk stopped,
-                    // so every postings list is walked at most once per scan
-                    // regardless of chunking.
+                    // Phase 2 — stage-2 postings for the whole superchunk in
+                    // one accumulation, run only when some chunk stayed
+                    // undecided. The cursors resume where the previous
+                    // accumulation stopped, so every postings list is walked
+                    // at most once per scan regardless of chunking.
                     let acc_super = &mut acc[..super_end - super_start];
-                    if any_undecided || postings_first {
+                    if any_undecided {
                         acc_super.fill(0);
                         cursors.accumulate(super_start..super_end, acc_super);
                     }
@@ -835,13 +752,12 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                                 let key = bound.map(f64::to_bits);
                                 if words_key != Some(key) {
                                     if compiled_for != Some(key) {
-                                        plans_active = cutoff
-                                            .plan_buckets(bound, use_stage2, &tables, &mut plans);
+                                        plans_active =
+                                            cutoff.plan_buckets(bound, &tables, &mut plans);
                                         compiled_for = Some(key);
                                     }
                                     if plans_active {
-                                        let plan = plans[agg.bucket as usize];
-                                        match plan.class {
+                                        match plans[agg.bucket as usize].class {
                                             BoundClass::Accept => {
                                                 stats.bound_accepted += 1;
                                                 sink.accept(id_of(i));
@@ -851,19 +767,12 @@ impl<'q, S: SegmentIndex> ScanKernel<'q, S> {
                                                 cutoff.count_pruned_n(stats, 1);
                                                 continue;
                                             }
-                                            BoundClass::Undecided => {
-                                                if cascade.stage2_inter_ub(agg) < plan.reject_below
-                                                {
-                                                    stats.stage2_decided += 1;
-                                                    cutoff.count_pruned_n(stats, 1);
-                                                    continue;
-                                                }
-                                            }
+                                            BoundClass::Undecided => {}
                                         }
                                     }
                                 }
                             }
-                            // Stage 3: classify from the exact accumulated
+                            // Stage 2: classify from the exact accumulated
                             // intersection. Under compiled plans the
                             // cutoff's ϕ-space verdict is pre-translated
                             // into intersection thresholds (the ϕ table is

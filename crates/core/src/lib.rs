@@ -89,7 +89,6 @@ pub use effectiveness::{aggregate, Confusion};
 pub use engine::QueryEngine;
 pub use error::{EngineError, EngineResult};
 pub use estimator::GbdaEstimator;
-pub use filter::planner::{Planner, QueryPlan};
 pub use filter::{FilterCascade, PostingsCursors, RankDecision, SegmentIndex, SizeDecision};
 pub use kernel::{
     BoundClass, BucketPlan, CollectAll, Cutoff, ScanKernel, Sink, StaticPhi, Subscriber,

@@ -26,13 +26,8 @@ pub(crate) struct ScanMetrics {
     rank_rejected: Counter,
     postings_resolved: Counter,
     merged: Counter,
-    stage2_decided: Counter,
     threshold_accepts: Counter,
     heap_inserts: Counter,
-    planned_scans: Counter,
-    plan_skipped_bounds: Counter,
-    plan_skipped_stage2: Counter,
-    plan_postings_first: Counter,
     query_seconds: Histogram,
     flatten_seconds: Histogram,
     scan_seconds: Histogram,
@@ -68,10 +63,6 @@ pub(crate) fn scan_metrics() -> &'static ScanMetrics {
                 "gbda_scan_merged_total",
                 "Graphs resolved by the exact flat branch-run merge.",
             ),
-            stage2_decided: g.counter(
-                "gbda_scan_stage2_decided_total",
-                "Graphs decided specifically by the stage-2 distinct-run refinement.",
-            ),
             threshold_accepts: g.counter(
                 "gbda_scan_threshold_accepts_total",
                 "Graphs accepted by the per-size phi-threshold comparison alone.",
@@ -79,22 +70,6 @@ pub(crate) fn scan_metrics() -> &'static ScanMetrics {
             heap_inserts: g.counter(
                 "gbda_topk_heap_inserts_total",
                 "Candidates admitted into a top-k heap (evicted ones included).",
-            ),
-            planned_scans: g.counter(
-                "gbda_planner_planned_scans_total",
-                "Segment scans whose stage order was chosen by the per-query planner.",
-            ),
-            plan_skipped_bounds: g.counter(
-                "gbda_planner_skipped_bounds_total",
-                "Planned scans that skipped the bound stages entirely.",
-            ),
-            plan_skipped_stage2: g.counter(
-                "gbda_planner_skipped_stage2_total",
-                "Planned scans that skipped the stage-2 refinement.",
-            ),
-            plan_postings_first: g.counter(
-                "gbda_planner_postings_first_total",
-                "Planned scans that accumulated stage-3 postings eagerly per chunk.",
             ),
             query_seconds: g.histogram("gbda_query_seconds", "End-to-end latency of one search."),
             flatten_seconds: g.histogram(
@@ -126,13 +101,8 @@ pub(crate) fn record_search(stats: &SearchStats, query_seconds: f64) {
     m.rank_rejected.add(stats.rank_rejected as u64);
     m.postings_resolved.add(stats.postings_resolved as u64);
     m.merged.add(stats.merged as u64);
-    m.stage2_decided.add(stats.stage2_decided as u64);
     m.threshold_accepts.add(stats.threshold_accepts as u64);
     m.heap_inserts.add(stats.heap_inserts as u64);
-    m.planned_scans.add(stats.planned_scans as u64);
-    m.plan_skipped_bounds.add(stats.plan_skipped_bounds as u64);
-    m.plan_skipped_stage2.add(stats.plan_skipped_stage2 as u64);
-    m.plan_postings_first.add(stats.plan_postings_first as u64);
     m.query_seconds.record(query_seconds);
     m.flatten_seconds.record(stats.flatten_seconds);
     m.scan_seconds.record(stats.scan_seconds);

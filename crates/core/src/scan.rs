@@ -3,10 +3,11 @@
 //! The paper's online stage is one operation — Algorithm 1 with the V1/V2
 //! swaps of Section VII-D — and [`crate::kernel::ScanKernel::scan`] is its
 //! per-graph loop. This module is everything *around* that loop, written
-//! once: flatten the query, ask the planner for a per-part schedule, prepare
-//! the cutoff, scan, book the plan, observe the stats, flush the telemetry.
-//! A [`Scanner`] is the only owner of the posterior memo, the
-//! `(extended_size, cap)`-keyed decision tables and the planner.
+//! once: flatten the query, prepare each part's cutoff, scan, flush the
+//! telemetry. A [`Scanner`] is the only owner of the posterior memo and the
+//! `(extended_size, cap)`-keyed decision tables. Every part runs the same
+//! cascade schedule, so a run's stats depend on the query and the view,
+//! never on which queries the scanner served before.
 //!
 //! One [`Scanner::run`] is generic (monomorphized) over
 //!
@@ -36,7 +37,6 @@ use rand::SeedableRng;
 use gbd_graph::{BranchMultiset, FlatBranchSet, Graph};
 
 use crate::config::{GbdaConfig, GbdaVariant};
-use crate::filter::planner::{Planner, QueryPlan};
 use crate::filter::{
     compute_rank_decision, compute_size_decision, RankDecision, SegmentIndex, SizeDecision,
 };
@@ -48,8 +48,7 @@ use crate::search::SearchStats;
 /// Configuration plus every memo a scan consults. All of it is internally
 /// synchronized and independent of *what* is scanned, so one scanner serves
 /// concurrent searches over different [`crate::Generation`]s: decision
-/// tables are keyed by the view-dependent vertex cap, and the planner only
-/// reroutes cascade stages, which never changes results.
+/// tables are keyed by the view-dependent vertex cap.
 pub(crate) struct Scanner {
     pub(crate) config: GbdaConfig,
     cache: PosteriorCache,
@@ -57,9 +56,6 @@ pub(crate) struct Scanner {
     decisions: RwLock<HashMap<(usize, u64), SizeDecision>>,
     /// Posterior suffix-maximum tables per `(extended size, cap)`.
     rank_decisions: RwLock<HashMap<(usize, u64), Arc<RankDecision>>>,
-    /// Consulted once per part (a big base and a small delta usually deserve
-    /// different schedules), fed every finished run's stats.
-    planner: Planner,
 }
 
 /// One decision table's entry for `key`, computed outside the lock on first
@@ -226,8 +222,6 @@ impl<M: Mode, K> Run<'_, M, K> {
     {
         let scanner = self.scanner;
         let index = self.target.index;
-        let plan = (!scanner.config.force_fixed_pipeline)
-            .then(|| scanner.planner.plan_for(segment, &self.query_flat));
         let kernel = ScanKernel::new(
             segment,
             &self.query_flat,
@@ -235,7 +229,6 @@ impl<M: Mode, K> Run<'_, M, K> {
             self.target.fixed_extended_size,
             scanner.weight(),
             scanner.config.filter_cascade,
-            plan.unwrap_or_else(QueryPlan::fixed),
         );
         let cutoff = self.mode.prepare(scanner, &self.target, &kernel);
         let memo = &mut self.memo;
@@ -247,9 +240,6 @@ impl<M: Mode, K> Run<'_, M, K> {
             id_of,
             |stats, extended_size, phi| scanner.lookup(index, memo, stats, extended_size, phi),
         );
-        if let (Some(plan), true) = (plan, segment.segment_len() > 0) {
-            Planner::book(plan, &mut self.stats);
-        }
     }
 }
 
@@ -262,7 +252,6 @@ impl Scanner {
             cache: PosteriorCache::new(config.tau_hat),
             decisions: RwLock::new(HashMap::new()),
             rank_decisions: RwLock::new(HashMap::new()),
-            planner: Planner::new(),
             config,
         }
     }
@@ -364,9 +353,9 @@ impl Scanner {
     }
 
     /// Runs one query: flattens it with `flatten`, lets `parts` scan the
-    /// view's parts into `sink`, then books the totals with the planner and
-    /// the telemetry registry. Returns the sink, the run's stats and its
-    /// wall-clock seconds.
+    /// view's parts into `sink`, then books the totals with the telemetry
+    /// registry. Returns the sink, the run's stats and its wall-clock
+    /// seconds.
     pub(crate) fn run<M: Mode, K>(
         &self,
         target: Target<'_>,
@@ -396,9 +385,6 @@ impl Scanner {
         } = run;
         stats.flatten_seconds = flatten_seconds;
         stats.scan_seconds = scan_started.elapsed().as_secs_f64();
-        if !self.config.force_fixed_pipeline {
-            self.planner.observe(&stats);
-        }
         let seconds = started.elapsed().as_secs_f64();
         crate::obs::record_search(&stats, seconds);
         (sink, stats, seconds)

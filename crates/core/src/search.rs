@@ -49,23 +49,21 @@ pub struct SearchStats {
     /// Ranked scans only: candidates admitted into a top-k heap (evicted
     /// ones included).
     pub heap_inserts: usize,
-    /// Graphs decided specifically by the stage-2 distinct-run refinement —
-    /// a subset of `bound_rejected`/`rank_rejected` that stage 1 left
-    /// undecided. This is the marginal stage-2 selectivity the
-    /// [`planner`](crate::filter::planner) cost model consumes.
+    /// Retired, always `0`: nothing writes it. It counted graphs decided by
+    /// a per-graph distinct-run bound the scan no longer runs, and is kept
+    /// only so existing readers of the field still compile.
     pub stage2_decided: usize,
-    /// Segment scans whose stage order was chosen by the per-query planner
-    /// (zero under [`crate::GbdaConfig::force_fixed_pipeline`]).
+    /// Retired, always `0`: nothing writes it. It counted segment scans
+    /// whose schedule an adaptive stage planner chose; every scan now runs
+    /// one schedule. Kept only so existing readers still compile.
     pub planned_scans: usize,
-    /// Planned scans that skipped the bound stages entirely (tiny candidate
-    /// sets go straight to exact resolution).
-    pub plan_skipped_bounds: usize,
-    /// Planned scans that ran stage 1 but skipped the stage-2 refinement
-    /// (its observed marginal selectivity did not pay for the sweep).
+    /// Retired, always `0`: nothing writes it. It counted planned scans that
+    /// skipped the distinct-run bound. Kept only so existing readers still
+    /// compile.
     pub plan_skipped_stage2: usize,
-    /// Planned scans that accumulated the stage-3 postings eagerly per chunk
-    /// (postings-first) instead of only for chunks the bounds left
-    /// undecided (bound-first).
+    /// Retired, always `0`: nothing writes it. It counted planned scans that
+    /// accumulated postings for every superchunk. Kept only so existing
+    /// readers still compile.
     pub plan_postings_first: usize,
 }
 
@@ -88,10 +86,10 @@ impl SearchStats {
     }
 
     /// Sums another search's counters and timings into this one, to total
-    /// a sequence of searches. Every field is summed: each pruning, cache
-    /// and planner counter (`cache_hits` … `plan_postings_first`) and both
-    /// timings, so `flatten_seconds` and `scan_seconds` become total work
-    /// across the absorbed searches.
+    /// a sequence of searches. Every live field is summed: each pruning and
+    /// cache counter (`cache_hits` … `heap_inserts`) and both timings, so
+    /// `flatten_seconds` and `scan_seconds` become total work across the
+    /// absorbed searches. The four retired fields are left untouched.
     ///
     /// Absorption deliberately collapses the per-query latency
     /// distribution into totals. The per-query resolution survives in the
@@ -111,11 +109,6 @@ impl SearchStats {
         self.merged += other.merged;
         self.rank_rejected += other.rank_rejected;
         self.heap_inserts += other.heap_inserts;
-        self.stage2_decided += other.stage2_decided;
-        self.planned_scans += other.planned_scans;
-        self.plan_skipped_bounds += other.plan_skipped_bounds;
-        self.plan_skipped_stage2 += other.plan_skipped_stage2;
-        self.plan_postings_first += other.plan_postings_first;
     }
 }
 

@@ -327,8 +327,7 @@ impl<'a> FlatBranchView<'a> {
     /// Largest multiplicity among the catalogued runs (0 when there are
     /// none). Each of the ≤ `min(d_Q, d_G)` common distinct branches
     /// contributes at most `min` of the two multiplicities, so
-    /// `|B_Q ∩ B_G| ≤ min(d_Q, d_G) · min(max_run(Q), max_run(G))` — the
-    /// distinct-run bound of the filter cascade.
+    /// `|B_Q ∩ B_G| ≤ min(d_Q, d_G) · min(max_run(Q), max_run(G))`.
     pub fn max_known_run_count(self) -> u32 {
         self.known_runs()
             .iter()

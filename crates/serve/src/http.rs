@@ -71,7 +71,7 @@ pub fn read_request<S: BufRead>(stream: &mut S) -> Result<Request, HttpError> {
         return Err(HttpError::Bad(505, "only HTTP/1.x is supported"));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut close = version == "HTTP/1.0";
     let mut header_bytes = request_line.len();
     loop {
@@ -88,12 +88,20 @@ pub fn read_request<S: BufRead>(stream: &mut S) -> Result<Request, HttpError> {
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            // `1*DIGIT` only: `usize::from_str` would also take a `+` sign.
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(HttpError::Bad(400, "unparsable content-length"));
+            }
+            let length = value
                 .parse::<usize>()
                 .map_err(|_| HttpError::Bad(400, "unparsable content-length"))?;
-            if content_length > MAX_BODY_BYTES {
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(HttpError::Bad(400, "conflicting content-length headers"));
+            }
+            if length > MAX_BODY_BYTES {
                 return Err(HttpError::Bad(413, "request body too large"));
             }
+            content_length = Some(length);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(HttpError::Bad(501, "transfer encodings are not supported"));
         } else if name.eq_ignore_ascii_case("connection") {
@@ -101,7 +109,7 @@ pub fn read_request<S: BufRead>(stream: &mut S) -> Result<Request, HttpError> {
         }
     }
 
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
     stream.read_exact(&mut body).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             HttpError::Bad(400, "body shorter than content-length")
@@ -273,6 +281,22 @@ mod tests {
             parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
             Err(HttpError::Bad(400, _))
         ));
+        // A sign is not `1*DIGIT`, even though `usize::from_str` takes it.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nabcde"),
+            Err(HttpError::Bad(400, _))
+        ));
+        // Differing duplicates are rejected instead of the last one winning.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nabcde"),
+            Err(HttpError::Bad(400, _))
+        ));
+        assert_eq!(
+            parse("POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc")
+                .unwrap()
+                .body,
+            b"abc"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # gbd-telemetry — runtime observability for the GBDA workspace
 //!
 //! A dependency-free (std-only) telemetry substrate shared by every layer
-//! of the workspace: the scan kernel and planner, the posterior cache, the
+//! of the workspace: the scan kernel, the posterior cache, the
 //! dynamic storage layer and the crash-safe durability path all report
 //! into one process-wide [`MetricsRegistry`] and one [`TraceBuffer`].
 //!

@@ -96,10 +96,10 @@ pub mod prelude {
         Confusion, Cutoff, DatabaseParts, DurabilityConfig, DynamicDatabase, DynamicEngine,
         DynamicOutcome, DynamicTopKOutcome, DynamicView, EngineError, EngineResult,
         EstimatorSearcher, FilterCascade, GbdaConfig, GbdaEstimator, GbdaVariant, Generation,
-        GraphAggregate, GraphDatabase, OfflineIndex, Planner, PosteriorCache, Posting,
-        PostingsCursors, QueryEngine, QueryPlan, RankDecision, RankedHit, ScanKernel,
-        SearchOutcome, SearchStats, SegmentIndex, SimilaritySearcher, Sink, SizeDecision,
-        SnapshotReader, StaticPhi, Subscriber, TighteningRank, TopKHeap, TopKOutcome, TopKSink,
+        GraphAggregate, GraphDatabase, OfflineIndex, PosteriorCache, Posting, PostingsCursors,
+        QueryEngine, RankDecision, RankedHit, ScanKernel, SearchOutcome, SearchStats, SegmentIndex,
+        SimilaritySearcher, Sink, SizeDecision, SnapshotReader, StaticPhi, Subscriber,
+        TighteningRank, TopKHeap, TopKOutcome, TopKSink,
     };
 }
 

@@ -203,7 +203,7 @@ fn stage_partition_holds_for_streaming_scans() {
 /// matches, posterior bits and ranked hits, and `SearchStats` equal field
 /// for field once the wall-clock fields are zeroed — for
 /// threshold, top-k and streaming, in every mode. Both engines see the same
-/// query sequence, so their planners and posterior memos evolve in step.
+/// query sequence, so their posterior memos evolve in step.
 #[test]
 fn static_and_empty_log_dynamic_engines_agree_on_answers_and_stats() {
     fn timeless(mut stats: SearchStats) -> SearchStats {
@@ -218,7 +218,6 @@ fn static_and_empty_log_dynamic_engines_agree_on_answers_and_stats() {
     let config = GbdaConfig::new(4, 0.7).with_sample_pairs(150).with_seed(23);
     let index = OfflineIndex::build(&database, &config).unwrap();
     let dynamic = DynamicDatabase::new(database.clone());
-    // Enough queries for the planners to leave their priors behind.
     let queries: Vec<Graph> = (0..10)
         .map(|i| database.graph((i * 5) % n).clone())
         .collect();
@@ -273,6 +272,60 @@ fn static_and_empty_log_dynamic_engines_agree_on_answers_and_stats() {
             assert_eq!(streamed_a, streamed_b, "{context}: streamed hits");
             assert_eq!(timeless(a), timeless(b), "{context}: streaming stats");
         }
+    }
+}
+
+/// Every scan runs one cascade schedule, so a query's stats depend on the
+/// query and the view alone: the twelfth run of a query on an engine books
+/// exactly the counters of the first, for threshold and top-k on the
+/// static and the dynamic view shape.
+#[test]
+fn repeated_queries_book_identical_stats() {
+    fn timeless(mut stats: SearchStats) -> SearchStats {
+        stats.flatten_seconds = 0.0;
+        stats.scan_seconds = 0.0;
+        stats
+    }
+    fn first_and_twelfth(run: impl Fn() -> SearchStats) -> (SearchStats, SearchStats) {
+        let first = timeless(run());
+        for _ in 2..12 {
+            run();
+        }
+        (first, timeless(run()))
+    }
+
+    let database = GraphDatabase::from_graphs(mixed_graphs(0x1A, 8));
+    let config = GbdaConfig::new(4, 0.7).with_sample_pairs(150).with_seed(29);
+    let index = OfflineIndex::build(&database, &config).unwrap();
+    let query = database.graph(3).clone();
+    let mut dynamic = DynamicDatabase::new(database.clone());
+    for graph in mixed_graphs(0x1A ^ 0xFEED, 1) {
+        dynamic.insert(graph);
+    }
+    dynamic.remove(5).unwrap();
+
+    let fresh_static = || QueryEngine::new(&database, &index, config.clone());
+    let fresh_dynamic = || DynamicEngine::new(&dynamic, &index, config.clone());
+    let runs = [
+        ("static threshold", {
+            let engine = fresh_static();
+            first_and_twelfth(|| engine.search(&query).stats)
+        }),
+        ("static top-k", {
+            let engine = fresh_static();
+            first_and_twelfth(|| engine.search_top_k(&query, 5).stats)
+        }),
+        ("dynamic threshold", {
+            let engine = fresh_dynamic();
+            first_and_twelfth(|| engine.search(&query).stats)
+        }),
+        ("dynamic top-k", {
+            let engine = fresh_dynamic();
+            first_and_twelfth(|| engine.search_top_k(&query, 5).stats)
+        }),
+    ];
+    for (context, (first, twelfth)) in runs {
+        assert_eq!(first, twelfth, "{context}: stats depend on history");
     }
 }
 

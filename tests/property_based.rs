@@ -172,10 +172,7 @@ proptest! {
             };
             prop_assert_eq!(phi, expected, "exact ϕ diverges on {}", i);
             let (lb1, ub1) = cascade.size_bounds(database.size_of(i));
-            let (lb2, ub2) = cascade.refined_bounds(i);
             prop_assert!(lb1 <= phi && phi <= ub1, "stage-1 bound violated on {}", i);
-            prop_assert!(lb2 <= phi && phi <= ub2, "stage-2 bound violated on {}", i);
-            prop_assert!(lb2 >= lb1 && ub2 <= ub1, "stage 2 must refine stage 1");
         }
     }
 

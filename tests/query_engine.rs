@@ -44,7 +44,7 @@ fn check_variant(variant: GbdaVariant, label: &str) {
 
     let engine = QueryEngine::new(&database, &index, config);
 
-    // Per query, in sequence on one engine (warm memo, adapting planner):
+    // Per query, in sequence on one engine (warm memo):
     // the driver's scan ≡ the seed reference scan.
     for (qi, query) in queries.iter().enumerate() {
         let outcome = engine.search(query);

@@ -10,12 +10,11 @@
 //!    postings shapes (dense and sparse runs, skewed sizes, unknown query
 //!    branches) and for any ascending chunking of the scan range.
 //!
-//! 2. **Planner neutrality** — the stats-driven stage planner changes only
-//!    the work schedule: threshold, top-k, streaming and dynamic searches
-//!    return bit-identical results with the planner on vs.
-//!    `force_fixed_pipeline`, from cold priors and
-//!    from a warmed steady-state profile alike — and the stage partition
-//!    (`SearchStats::stage_partition`) holds under every schedule.
+//! 2. **One schedule for every segment size** — threshold, top-k and
+//!    streaming searches equal the seed-faithful references on a static
+//!    engine, and equal a fresh rebuild of the live set on a dynamic base
+//!    with a delta of 1 to 20 graphs — and the stage partition
+//!    (`SearchStats::stage_partition`) holds on every scan.
 
 use gbda::prelude::*;
 use proptest::prelude::*;
@@ -100,108 +99,109 @@ proptest! {
         }
     }
 
-    /// Planner-scheduled searches are bit-identical to the fixed pipeline on
-    /// every path, and every schedule keeps the stage partition exact.
+    /// Every segment runs one cascade schedule, small or large: on the
+    /// adversarial databases, static threshold, top-k and streaming scans
+    /// equal the seed-faithful references, and a dynamic base plus a delta
+    /// of every size from 1 to 20 graphs equals a fresh rebuild of its live
+    /// set. The stage partition holds on every scan.
     #[test]
-    fn planner_schedules_are_result_neutral(
+    fn small_and_large_segments_match_the_reference(
         seed in 0u64..10_000,
         labels in 2u32..7,
     ) {
         let graphs = adversarial_graphs(seed, 45, labels, &[7, 12, 18]);
-        let database = GraphDatabase::from_graphs(graphs.clone());
+        let database = GraphDatabase::from_graphs(graphs);
         let n = database.len();
-        let config = GbdaConfig::new(4, 0.7)
-            .with_sample_pairs(150)
-            .with_seed(seed)
-            .with_record_posteriors(true);
-        let index = OfflineIndex::build(&database, &config).unwrap();
+        let base_config = GbdaConfig::new(4, 0.7).with_sample_pairs(150).with_seed(seed);
+        let index = OfflineIndex::build(&database, &base_config).unwrap();
         let query = database.graph((seed % n as u64) as usize).clone();
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-        let fixed = config.clone().with_force_fixed_pipeline(true);
-        let planner_engine = QueryEngine::new(&database, &index, config.clone());
-        let fixed_engine = QueryEngine::new(&database, &index, fixed);
-        // Warm the planner past its prior phase so both the cold and
-        // steady-state schedules are compared against the fixed run.
-        for round in 0..10 {
-            let outcome = planner_engine.search(&query);
-            let reference = fixed_engine.search(&query);
+        // Record mode resolves every posterior; without it the size bound
+        // decides whole buckets.
+        for record in [false, true] {
+            let config = base_config.clone().with_record_posteriors(record);
+            let engine = QueryEngine::new(&database, &index, config);
+            let reference = engine.reference_search(&query);
+            let outcome = engine.search(&query);
             prop_assert_eq!(
                 &outcome.matches, &reference.matches,
-                "threshold matches diverge (round={})", round
+                "threshold matches diverge (record={})", record
             );
-            let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(outcome.posteriors.len(), outcome.stats.evaluated);
-            prop_assert_eq!(
-                bits(&outcome.posteriors),
-                bits(&reference.posteriors),
-                "threshold posteriors diverge (round={})", round
-            );
-            prop_assert_eq!(outcome.stats.evaluated, n);
-            prop_assert_eq!(outcome.stats.stage_partition(), outcome.stats.evaluated);
-            prop_assert_eq!(reference.stats.stage_partition(), reference.stats.evaluated);
-        }
-
-        for k in [1usize, 5, n + 3] {
-            let ranked = planner_engine.search_top_k(&query, k);
-            let reference = fixed_engine.search_top_k(&query, k);
-            prop_assert_eq!(
-                ranked.hits.len(), reference.hits.len(),
-                "top-{} hit count diverges", k
-            );
-            for (a, b) in ranked.hits.iter().zip(&reference.hits) {
-                prop_assert_eq!(a.id, b.id, "top-{} ids diverge", k);
+            if record {
                 prop_assert_eq!(
-                    a.posterior.to_bits(), b.posterior.to_bits(),
-                    "top-{} posteriors diverge", k
+                    bits(&outcome.posteriors), bits(&reference.posteriors),
+                    "threshold posteriors diverge"
                 );
             }
-            prop_assert_eq!(ranked.stats.stage_partition(), ranked.stats.evaluated);
+            prop_assert_eq!(outcome.stats.evaluated, n);
+            prop_assert_eq!(outcome.stats.stage_partition(), n);
+
+            for k in [1usize, 5, n + 3] {
+                let ranked = engine.search_top_k(&query, k);
+                let reference = engine.top_k_reference(&query, k);
+                prop_assert_eq!(ranked.hits.len(), reference.len(), "top-{} hit count diverges", k);
+                for (a, b) in ranked.hits.iter().zip(&reference) {
+                    prop_assert_eq!(a.id, b.id, "top-{} ids diverge", k);
+                    prop_assert_eq!(
+                        a.posterior.to_bits(), b.posterior.to_bits(),
+                        "top-{} posteriors diverge", k
+                    );
+                }
+                prop_assert_eq!(ranked.stats.stage_partition(), n);
+            }
+
+            let mut streamed: Vec<usize> = Vec::new();
+            let stats = engine.search_streaming(&query, |id, _| streamed.push(id));
+            prop_assert_eq!(&streamed, &reference.matches, "streamed hits diverge");
+            prop_assert_eq!(stats.stage_partition(), n);
         }
 
-        let mut streamed: Vec<usize> = Vec::new();
-        let stream_stats = planner_engine.search_streaming(&query, |id, _| streamed.push(id));
-        let reference = fixed_engine.search(&query);
-        prop_assert_eq!(
-            &streamed, &reference.matches,
-            "streamed hits diverge"
-        );
-        prop_assert_eq!(stream_stats.stage_partition(), stream_stats.evaluated);
-
-        // Dynamic base+delta under tombstones: the planner plans each
-        // segment independently (tiny deltas skip the bound stages) and
-        // must still match the fixed pipeline bit-for-bit.
+        // Dynamic base plus a growing delta under a tombstone, checked at
+        // every delta size against a fresh build of the live set.
         let mut dynamic = DynamicDatabase::new(database);
-        for graph in adversarial_graphs(seed ^ 0xD1CE, 7, labels, &[9, 14]) {
-            dynamic.insert(graph);
-        }
         dynamic.remove(seed % n as u64).unwrap();
-        let live = dynamic.live_ids().len();
-        let planner_engine = DynamicEngine::new(&dynamic, &index, config.clone());
-        let fixed_engine = DynamicEngine::new(
-            &dynamic,
-            &index,
-            config.clone().with_force_fixed_pipeline(true),
-        );
-        for round in 0..10 {
-            let outcome = planner_engine.search(&query);
-            let reference = fixed_engine.search(&query);
-            prop_assert_eq!(
-                &outcome.matches, &reference.matches,
-                "dynamic matches diverge (round={})", round
-            );
+        for graph in adversarial_graphs(seed ^ 0xD1CE, 20, labels, &[9, 14]).into_iter().take(20) {
+            dynamic.insert(graph);
+            let delta = dynamic.live_ids().len() + 1 - n;
+            let (ids, survivors): (Vec<u64>, Vec<Graph>) = dynamic
+                .live_graphs()
+                .map(|(id, graph)| (id, graph.clone()))
+                .unzip();
+            let fresh = GraphDatabase::with_alphabets(survivors, dynamic.alphabets());
+            let live = fresh.len();
+            let config = base_config.clone();
+            let dynamic_engine = DynamicEngine::new(&dynamic, &index, config.clone());
+            let fresh_engine = QueryEngine::new(&fresh, &index, config);
+
+            let outcome = dynamic_engine.search(&query);
+            let expected: Vec<u64> =
+                fresh_engine.search(&query).matches.iter().map(|&i| ids[i]).collect();
+            prop_assert_eq!(&outcome.matches, &expected, "delta {}: matches diverge", delta);
             prop_assert_eq!(outcome.stats.evaluated, live);
-            prop_assert_eq!(outcome.stats.stage_partition(), outcome.stats.evaluated);
+            prop_assert_eq!(outcome.stats.stage_partition(), live);
+
+            for k in [1usize, 6, live + 2] {
+                let ranked = dynamic_engine.search_top_k(&query, k);
+                let expected = fresh_engine.search_top_k(&query, k);
+                prop_assert_eq!(
+                    ranked.hits.len(), expected.hits.len(),
+                    "delta {}: top-{} hit count diverges", delta, k
+                );
+                for (a, b) in ranked.hits.iter().zip(&expected.hits) {
+                    prop_assert_eq!(a.id, ids[b.id], "delta {}: top-{} ids diverge", delta, k);
+                    prop_assert_eq!(
+                        a.posterior.to_bits(), b.posterior.to_bits(),
+                        "delta {}: top-{} posteriors diverge", delta, k
+                    );
+                }
+                prop_assert_eq!(ranked.stats.stage_partition(), live);
+            }
+
+            let mut streamed: Vec<u64> = Vec::new();
+            let stats = dynamic_engine.search_streaming(&query, |id, _| streamed.push(id));
+            prop_assert_eq!(&streamed, &expected, "delta {}: streamed hits diverge", delta);
+            prop_assert_eq!(stats.stage_partition(), live);
         }
-        let ranked = planner_engine.search_top_k(&query, 6);
-        let reference = fixed_engine.search_top_k(&query, 6);
-        prop_assert_eq!(ranked.hits.len(), reference.hits.len(), "dynamic top-k diverges");
-        for (a, b) in ranked.hits.iter().zip(&reference.hits) {
-            prop_assert_eq!(a.id, b.id, "dynamic top-k ids diverge");
-            prop_assert_eq!(
-                a.posterior.to_bits(), b.posterior.to_bits(),
-                "dynamic top-k posteriors diverge"
-            );
-        }
-        prop_assert_eq!(ranked.stats.stage_partition(), ranked.stats.evaluated);
     }
 }

@@ -108,8 +108,7 @@ proptest! {
     }
 
     /// A batch of ranked queries run back to back on one engine (a shared,
-    /// warming memo and an adapting planner) equals each query run on a
-    /// fresh engine, in order.
+    /// warming memo) equals each query run on a fresh engine, in order.
     #[test]
     fn top_k_batch_equals_per_query(seed in 0u64..10_000, k in 1usize..12) {
         let graphs = mixed_graphs(seed, 4);
